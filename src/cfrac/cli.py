@@ -18,11 +18,11 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from itertools import count
 from pathlib import Path
 
 from . import __version__
-from .core import ConvergentState
+from .core import _Walk
 from .errors import (
     CertificateFormatError,
     DepthCapError,
@@ -32,7 +32,7 @@ from .errors import (
     TailUnreachableError,
     ZeroScaleError,
 )
-from .expansions import e_simple_cf, exp_rational, tanh_integer_cf, tanh_rational
+from .expansions import certified_enclosures, e_simple_cf, tanh_integer_cf
 from .irrationality import (
     VERDICT_IRRATIONAL,
     VERDICT_NOT_APPLICABLE,
@@ -98,29 +98,29 @@ def decimal_preview(q: Fraction, sig: int = PREVIEW_DIGITS) -> str:
 def certified_digits(expr: str, x: int, y: int, digits: int) -> tuple[DigitString, int]:
     """Truncated decimal digits of e^(x/y) or tanh(x/y), all guaranteed.
 
-    The evaluation tolerance is tightened until the certified interval
-    [value - bound, value + bound] truncates to a single digit string, so
-    every emitted digit is a correct digit of the true value.  Returns the
-    digit string and the expansion depth that pinned it.
+    The evaluation tolerance starts at 10^-(digits+2) and is divided by 10^4
+    until the certified interval [value - bound, value + bound] truncates to
+    a single digit string, so every emitted digit is a correct digit of the
+    true value.  One walk of the expansion is resumed across these rounds,
+    and each round stops at the depth a fresh evaluation at its tolerance
+    would.  The rounds end: tanh(x/y) and e^(x/y) are irrational for
+    rational x/y != 0 (``irrationality``), so the value never sits on a
+    truncation boundary, and the bound shrinks to 0; e^0 = 1 is exact.
+    DEPTH_CAP terms bound the walk.  Returns the digit string and the
+    expansion depth that pinned it.
     """
     if not 1 <= digits <= MAX_DIGITS:
         raise DomainError(f"digits must be between 1 and {MAX_DIGITS}")
-    evaluator = exp_rational if expr == "exp" else tanh_rational
     scale = 10**digits
-    tol = Fraction(1, 10 ** (digits + 2))
-    for _ in range(64):
-        result = evaluator(x, y, tol)
-        lo = result.value - result.error_bound
-        hi = result.value + result.error_bound
+    tolerances = (Fraction(1, 10 ** (digits + 2 + 4 * r)) for r in count())
+    for lo, hi, den, depth in certified_enclosures(expr, x, y, tolerances):
         if lo > 0:
-            n_lo = floor(lo * scale)
-            if n_lo == floor(hi * scale):
+            n_lo = lo * scale // den
+            if n_lo == hi * scale // den:
                 text = str(n_lo)
                 integer_part = text[:-digits] if len(text) > digits else "0"
                 fractional_part = text[-digits:].rjust(digits, "0")
-                return DigitString("+", integer_part, fractional_part, digits), result.depth
-        tol /= 10**4
-    raise DomainError(f"could not pin {digits} digits for {expr}({x}/{y})")
+                return DigitString("+", integer_part, fractional_part, digits), depth
 
 
 def certificate_to_json(cert: IrrationalityCertificate) -> str:
@@ -203,22 +203,22 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _convergent_rows(cf, depth: int) -> list[dict]:
-    state = ConvergentState.initial(cf.leading)
     rows = []
-    prev = state.value
-    for i in range(1, depth + 1):
-        state = state.step(cf.term(i))
-        value = state.value
+
+    def row(state):  # returns None: never stops the walk
+        n, _, h, k_prev, k, p = state
+        value = Fraction(h, k)
         rows.append(
             {
-                "index": i,
+                "index": n,
                 "h": str(value.numerator),
                 "k": str(value.denominator),
                 "value": decimal_preview(value),
-                "gap": str(abs(value - prev)),
+                "gap": str(Fraction(p, k * k_prev)),
             }
         )
-        prev = value
+
+    _Walk(cf).run(row, depth)
     return rows
 
 

@@ -1,4 +1,4 @@
-"""Generalized continued fractions over exact rationals.
+"""Generalized continued fractions over exact rationals, walked in integers.
 
 A generalized continued fraction is
 
@@ -17,17 +17,30 @@ Convergents c_n are computed by the fundamental recurrence
 with h_{-1} = 1, h_0 = a0, k_{-1} = 0, k_0 = 1, and c_n = h_n / k_n.  The
 cross term D_n = h_n * k_{n-1} - h_{n-1} * k_n obeys D_n = -b_n * D_{n-1}
 with D_0 = -1, so for positive terms consecutive convergents alternate around
-the limit.  That bracketing is what makes |c_n - c_{n-1}| a certified
-two-sided error bound during evaluation.
+the limit, and the determinant gap |c_n - c_{n-1}| = |b_1...b_n|/(k_n k_{n-1})
+is a certified two-sided error bound during evaluation.
 
-Everything here is a pure function over immutable values; expansions are safe
-to share and evaluate concurrently.
+Every evaluator is a view of one integer engine, ``_Walk``.  The equivalence
+transform with scales c_0 = den(a0), c_i = den(a_i) den(b_i) clears the terms
+to integers and multiplies h_n and k_n by c_0...c_n, so no convergent
+changes; the walk holds (n, h_{n-1}, h_n, k_{n-1}, k_n, P_n) with P_n = |D_n|.
+Stopping tests cross-multiply: gap <= p/q is P_n q <= p k_n k_{n-1}.  A
+bit-length test may reject a step before multiplying; bit lengths fix a
+product only within a factor of two, so that test is a necessary condition
+for passing, never a sufficient one.  Fractions are built only for results.
+A walk resumes where it stopped and re-tests that state first, so a smaller
+tolerance stops at the depth a fresh walk would.  ``ConvergentState`` is the
+unscaled step in rationals, the reference for the determinant identity.
+
+Expansions are immutable values, safe to share and evaluate concurrently; a
+walk belongs to the one evaluation that made it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Union
 
 from .errors import (
@@ -105,9 +118,12 @@ class EPatternRule:
     elsewhere (Euler's pattern).
     """
 
+    @staticmethod
+    def _a(i: int) -> int:
+        return 2 * (i + 1) // 3 if i % 3 == 2 else 1
+
     def term(self, i: int) -> Term:
-        a = 2 * (i + 1) // 3 if i % 3 == 2 else 1
-        return Term(Fraction(a), Fraction(1))
+        return Term(Fraction(self._a(i)), Fraction(1))
 
 
 @dataclass(frozen=True)
@@ -158,8 +174,9 @@ class ContinuedFraction:
 class ConvergentState:
     """Rolling state (h_{n-1}, h_n, k_{n-1}, k_n) of the fundamental recurrence.
 
-    For expansions with positive terms k_n stays nonzero at every depth, so
-    ``value`` is always defined there.
+    The unscaled reference step in exact rationals; the evaluators run the
+    integer engine ``_Walk`` instead.  For expansions with positive terms k_n
+    stays nonzero at every depth, so ``value`` is always defined there.
     """
 
     index: int
@@ -200,6 +217,125 @@ class ApproximationResult:
     depth: int
 
 
+def _integer_terms(cf: ContinuedFraction):
+    """Yield the terms of ``cf`` scaled to integers a_i' = c_i a_i, b_i' = c_i c_{i-1} b_i.
+
+    With c_0 = den(a0) and c_i = den(a_i) den(b_i) both are integers with the
+    signs of a_i and b_i.  Integer rules need no scale past c_0 and skip
+    building ``Term`` objects.
+    """
+    rule, c_prev = cf.rule, cf.leading.denominator
+    if isinstance(rule, EPatternRule):
+        yield 1, c_prev
+        yield from ((rule._a(i), 1) for i in count(2))
+    elif isinstance(rule, ClosedFormRule) and rule.b_first and rule.b_rest and all(
+        q.denominator == 1 for q in (rule.a_slope, rule.a_intercept, rule.b_first, rule.b_rest)
+    ):
+        slope, intercept, b = int(rule.a_slope), int(rule.a_intercept), int(rule.b_rest)
+        yield slope + intercept, int(rule.b_first) * c_prev
+        yield from ((slope * i + intercept, b) for i in count(2))
+    else:
+        for i in count(1):
+            term = rule.term(i)
+            a, b = term.a, term.b
+            yield a.numerator * b.denominator, b.numerator * a.denominator * c_prev
+            c_prev = a.denominator * b.denominator
+
+
+class _Walk:
+    """The integer engine: a resumable walk of the recurrence over ``_integer_terms(cf)``.
+
+    ``state`` is (n, h_{n-1}, h_n, k_{n-1}, k_n, P_n) with P_n = c_0 b_1' ... b_n',
+    which is |D_n| for positive terms.  With ``positive``, consuming a term
+    that is not strictly positive raises NonPositiveTermError.
+    """
+
+    def __init__(self, cf: ContinuedFraction, positive: bool = True):
+        self.cf, self.positive, self._terms = cf, positive, _integer_terms(cf)
+        c_0 = cf.leading.denominator
+        self.state = (0, 1, cf.leading.numerator, 0, c_0, c_0)
+
+    def run(self, stop: Callable[[tuple], bool], max_depth: int) -> bool:
+        """Step until ``stop(state)`` is true or ``max_depth`` terms are consumed.
+
+        Past depth 0 the current state is re-tested first.  Returns whether
+        ``stop`` held.  A finite expansion that runs out raises
+        ExpansionExhaustedError with the state left at its last term.
+        """
+        state = self.state
+        n, h_prev, h, k_prev, k, p = state
+        if n and stop(state):
+            return True
+        terms, positive = self._terms, self.positive
+        try:
+            while n < max_depth:
+                a, b = next(terms)
+                if positive and (a <= 0 or b <= 0):
+                    raise NonPositiveTermError(n + 1, self.cf.term(n + 1))
+                n += 1
+                h_prev, h = h, a * h + b * h_prev
+                k_prev, k = k, a * k + b * k_prev
+                p *= b
+                state = (n, h_prev, h, k_prev, k, p)
+                if stop(state):
+                    return True
+            return False
+        finally:
+            self.state = state
+
+
+class _GapBound:
+    """c_n = h_n/k_n within the determinant gap P_n/(k_n k_{n-1}), on a walk of ``cf``.
+
+    ``stop(tol)`` is a stop test for ``_Walk.run`` that keeps in ``last`` the
+    deepest state it has seen with a bound; ``_parts(state)`` = (a, b, c, d)
+    gives that state's value a/b and bound c/(b d).
+    """
+
+    last = None
+
+    def __init__(self, cf: ContinuedFraction):
+        self.walk = _Walk(cf)
+
+    def stop(self, tol: Fraction) -> Callable[[tuple], bool]:
+        # gap <= p/q is P q <= p k k'.  As bl(P q) >= bl(P) + bl(q) - 1 and
+        # bl(p k k') <= bl(p) + bl(k) + bl(k'), a state past ``slack`` fails it.
+        p_tol, q_tol = tol.numerator, tol.denominator
+        slack = p_tol.bit_length() - q_tol.bit_length() + 1
+
+        def stop(state):
+            self.last = state
+            _, _, _, k_prev, k, p = state
+            return (
+                p.bit_length() - k.bit_length() - k_prev.bit_length() <= slack
+                and p * q_tol <= p_tol * k * k_prev
+            )
+
+        return stop
+
+    def _parts(self, state: tuple) -> tuple[int, int, int, int]:
+        _, _, h, k_prev, k, p = state
+        return h, k, p, k_prev
+
+    def refine(self, tol: Fraction, max_depth: int) -> None:
+        """Resume the walk until the bound meets ``tol`` (DepthCapError past ``max_depth``)."""
+        if not self.walk.run(self.stop(tol), max_depth):
+            raise DepthCapError(
+                f"tolerance {tol} not reached within {max_depth} terms", best=self.result()
+            )
+
+    def result(self) -> ApproximationResult | None:
+        if self.last is None:
+            return None
+        a, b, c, d = self._parts(self.last)
+        return ApproximationResult(Fraction(a, b), Fraction(c, b * d), self.last[0])
+
+    def interval(self) -> tuple[int, int, int]:
+        """(lo, hi, den): the limit lies in [lo/den, hi/den]."""
+        a, b, c, d = self._parts(self.last)
+        return a * d - c, a * d + c, b * d
+
+
 def terms(cf: ContinuedFraction, count: int) -> list[Term]:
     """The first ``count`` terms of the expansion (errors if too short)."""
     return [cf.term(i) for i in range(1, count + 1)]
@@ -212,11 +348,12 @@ def convergents(cf: ContinuedFraction, depth: int) -> list[Fraction]:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    state = ConvergentState.initial(cf.leading)
     out = []
-    for i in range(1, depth + 1):
-        state = state.step(cf.term(i))
-        out.append(state.value)
+
+    def record(state):  # returns None: never stops the walk
+        out.append(Fraction(state[2], state[4]))
+
+    _Walk(cf, positive=False).run(record, depth)
     return out
 
 
@@ -242,27 +379,13 @@ def evaluate(
         raise ValueError("tol must be > 0")
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    state = ConvergentState.initial(cf.leading)
-    prev_value = state.value
-    value = prev_value
-    gap = Fraction(0)
-    for i in range(1, max_depth + 1):
-        try:
-            term = cf.term(i)
-        except ExpansionExhaustedError:
-            return ApproximationResult(prev_value, Fraction(0), i - 1)
-        if term.a <= 0 or term.b <= 0:
-            raise NonPositiveTermError(i, term)
-        state = state.step(term)
-        value = state.value
-        gap = abs(value - prev_value)
-        if gap <= tol:
-            return ApproximationResult(value, gap, i)
-        prev_value = value
-    raise DepthCapError(
-        f"tolerance {tol} not reached within {max_depth} terms",
-        best=ApproximationResult(value, gap, max_depth),
-    )
+    bound = _GapBound(cf)
+    try:
+        bound.refine(tol, max_depth)
+    except ExpansionExhaustedError:
+        n, _, h, _, k, _ = bound.walk.state
+        return ApproximationResult(Fraction(h, k), Fraction(0), n)
+    return bound.result()
 
 
 Scales = Union[Fraction, int, Callable[[int], Fraction]]

@@ -27,12 +27,12 @@ from .core import (
     ApproximationResult,
     ClosedFormRule,
     ContinuedFraction,
-    ConvergentState,
     EPatternRule,
+    _GapBound,
     equivalence_transform,
     evaluate,
 )
-from .errors import DepthCapError, DomainError
+from .errors import DomainError
 
 
 def gauss_tanh_cf(z: Fraction) -> ContinuedFraction:
@@ -65,6 +65,13 @@ def e_simple_cf() -> ContinuedFraction:
     return ContinuedFraction(Fraction(2), EPatternRule())
 
 
+def _reduced_tanh_cf(x: int, y: int) -> ContinuedFraction:
+    if x < 1 or y < 1:
+        raise DomainError("x and y must be positive integers")
+    g = gcd(x, y)
+    return tanh_integer_cf(x // g, y // g)
+
+
 def tanh_rational(
     x: int,
     y: int,
@@ -76,10 +83,56 @@ def tanh_rational(
     x/y is reduced first: the smaller partial numerators (x^2 after
     reduction) converge no slower and leave the value unchanged.
     """
-    if x < 1 or y < 1:
-        raise DomainError("x and y must be positive integers")
-    g = gcd(x, y)
-    return evaluate(tanh_integer_cf(x // g, y // g), tol, max_depth)
+    return evaluate(_reduced_tanh_cf(x, y), tol, max_depth)
+
+
+class _ExpBound(_GapBound):
+    """e^(x/y) = (1 + t)/(1 - t), or (1 - t)/(1 + t) for x < 0, on the walk of t = h/k.
+
+    The gap bound of t = tanh(|x|/(2y)), in lowest terms (x != 0), pushed
+    through the exp map.  With the gap eps = P/(k k') and m = k - h (k + h
+    for x < 0), the value is (2k - m)/m and the propagated bound
+    2 eps/((1 -+ t)(1 -+ t - eps)) is 2 P k/(m (m k' - P)).  A state with
+    t + eps >= 1, that is P >= (k - h) k', has no bound: its interval
+    reaches the pole.
+    """
+
+    def __init__(self, x: int, y: int):
+        g = gcd(abs(x), 2 * y)
+        super().__init__(tanh_integer_cf(abs(x) // g, 2 * y // g))
+        self.negative = x < 0
+
+    def stop(self, tol: Fraction):
+        # bound <= p/q is 2 P k q <= p m (m k' - P).  As 0 < m k' - P < m k',
+        # bl(2 P k q) >= bl(P) + bl(k) + bl(q) - 1 and the right-hand side has
+        # at most bl(p) + 2 bl(m) + bl(k') bits, a state past ``slack`` fails
+        # it.  Likewise P >= u k' needs bl(P) >= bl(u) + bl(k') - 1.
+        p_tol, q_tol = tol.numerator, tol.denominator
+        slack = p_tol.bit_length() - q_tol.bit_length() + 1
+        negative = self.negative
+
+        def stop(state):
+            _, _, h, k_prev, k, p = state
+            u = k - h
+            if u <= 0 or (
+                p.bit_length() >= u.bit_length() + k_prev.bit_length() - 1
+                and p >= u * k_prev
+            ):
+                return False
+            self.last = state
+            m = k + h if negative else u
+            return (
+                p.bit_length() + k.bit_length() - 2 * m.bit_length() - k_prev.bit_length()
+                <= slack
+                and 2 * p * k * q_tol <= p_tol * m * (m * k_prev - p)
+            )
+
+        return stop
+
+    def _parts(self, state):
+        _, _, h, k_prev, k, p = state
+        m = k + h if self.negative else k - h
+        return 2 * k - m, m, 2 * p * k, m * k_prev - p
 
 
 def exp_rational(
@@ -101,7 +154,8 @@ def exp_rational(
     at most 2*eps/((1 - t)(1 - t - eps)), and similarly on the reciprocal
     side.  The expansion is consumed until that propagated bound drops under
     ``tol``; the interval must also clear the u = 1 pole first, which it
-    always does since tanh < 1.
+    always does since tanh < 1.  Both tests run on the integer state of the
+    walk, cross-multiplied (``_ExpBound``).
 
     y must be >= 1; any integer x is accepted (x = 0 gives exactly 1).
     """
@@ -112,32 +166,30 @@ def exp_rational(
         raise ValueError("tol must be > 0")
     if x == 0:
         return ApproximationResult(Fraction(1), Fraction(0), 0)
+    bound = _ExpBound(x, y)
+    bound.refine(tol, max_depth)
+    return bound.result()
 
-    negative = x < 0
-    g = gcd(abs(x), 2 * y)
-    cf = tanh_integer_cf(abs(x) // g, 2 * y // g)
 
-    one = Fraction(1)
-    state = ConvergentState.initial(cf.leading)
-    prev = state.value
-    best = None
-    for i in range(1, max_depth + 1):
-        state = state.step(cf.term(i))
-        t = state.value
-        eps = abs(t - prev)
-        prev = t
-        if t + eps >= 1:
-            continue
-        if negative:
-            value = (one - t) / (one + t)
-            bound = 2 * eps / ((one + t) * (one + t - eps))
-        else:
-            value = (one + t) / (one - t)
-            bound = 2 * eps / ((one - t) * (one - t - eps))
-        if bound <= tol:
-            return ApproximationResult(value, bound, i)
-        best = ApproximationResult(value, bound, i)
-    raise DepthCapError(
-        f"tolerance {tol} not reached within {max_depth} terms",
-        best=best,
-    )
+def certified_enclosures(expr: str, x: int, y: int, tolerances):
+    """Enclosures of exp(x/y) or tanh(x/y), one per tolerance, from one walk.
+
+    ``tolerances`` must not increase.  For each this yields (lo, hi, den,
+    depth): [lo/den, hi/den] is value -+ bound at the depth exp_rational or
+    tanh_rational reports for that tolerance.  The walk
+    resumes from there for the next tolerance: every depth before it had a
+    bound above the last tolerance.  Arguments are checked as there;
+    DepthCapError comes after DEPTH_CAP terms in all.
+    """
+    if expr == "exp":
+        if y < 1:
+            raise DomainError("y must be a positive integer")
+        if x == 0:
+            yield from ((1, 1, 1, 0) for _ in tolerances)
+            return
+        bound = _ExpBound(x, y)
+    else:
+        bound = _GapBound(_reduced_tanh_cf(x, y))
+    for tol in tolerances:
+        bound.refine(tol, DEPTH_CAP)
+        yield (*bound.interval(), bound.last[0])

@@ -22,7 +22,7 @@ from itertools import count
 from pathlib import Path
 
 from . import __version__
-from .core import _Walk
+from .core import DEPTH_CAP, _Walk
 from .errors import (
     CertificateFormatError,
     DepthCapError,
@@ -295,9 +295,9 @@ def cmd_verify(args) -> int:
         print(f"error: cannot read certificate: {exc}", file=sys.stderr)
         return 2
     cert = certificate_from_json(raw)
-    depth = args.depth if args.depth is not None else cert.checked_prefix_depth
-    outcome = verify_certificate(cert, depth)
+    outcome = verify_certificate(cert, args.depth)
     if outcome:
+        depth = cert.checked_prefix_depth if args.depth is None else args.depth
         print(f"certificate verified to depth {depth}: {cert.statement()}")
         return 0
     print(f"verification failed: {outcome.reason}", file=sys.stderr)
@@ -340,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="re-check a certificate file")
     p.add_argument("certificate", help="path to a JSON certificate")
-    p.add_argument("--depth", type=int)
+    p.add_argument(
+        "--depth", type=int, help=f"also rescan every term up to this depth (at most {DEPTH_CAP})"
+    )
     p.set_defaults(func=cmd_verify, parser=p)
 
     return parser
@@ -379,3 +381,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

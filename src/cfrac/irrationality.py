@@ -12,6 +12,16 @@ index below; tanh(x/y) is therefore irrational, and because a rational e^(x/y)
 would force tanh(x/y) = (e^(x/y) - e^(-x/y))/(e^(x/y) + e^(-x/y)) to be
 rational too, e^(x/y) is irrational as well.
 
+The hypothesis is proved in closed form, not by scanning: every coefficient
+of the term rule is an integer, a_1 >= 1, b >= 1 and the a-slope is
+positive, so every term is a positive integer, a_i increases and b_i is
+constant from i = 2 on.  One inequality at the threshold then covers the
+whole infinite tail, and one more shows the tail index minimal.  Terms are
+built explicitly only on a head window and on a window around the tail
+index, to catch a fault in the implementation of the rule, so certifying
+and verifying cost the same for every x/y.  ``verify_certificate`` with an
+explicit depth rescans every term up to it, within the DEPTH_CAP budget.
+
 Only the sufficient direction is certified.  When the hypothesis fails
 (e.g. the simple continued fraction of e itself, where a_i = b_i = 1
 infinitely often yet e is irrational) nothing is asserted: the verdict
@@ -21,9 +31,9 @@ vocabulary has no "rational" arm.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import floor, gcd
+from math import gcd
 
-from .core import ClosedFormRule, ContinuedFraction
+from .core import DEPTH_CAP, ClosedFormRule, ContinuedFraction
 from .errors import DomainError, InvalidTermError, TailUnreachableError
 from .expansions import tanh_integer_cf
 from .rationals import is_integer
@@ -31,12 +41,15 @@ from .rationals import is_integer
 VERDICT_IRRATIONAL = "CertifiedIrrational"
 VERDICT_NOT_APPLICABLE = "NotApplicable"
 
-#: Terms explicitly re-checked past the tail index when emitting a certificate.
-#: The closed form covers the infinite tail; the scan exists to catch
-#: implementation bugs, not mathematical ones.
+#: How far past the tail index a certificate's checked_prefix_depth reaches.
+#: Every term up to there satisfies the hypothesis: proved in closed form,
+#: cross-checked explicitly on the head and threshold windows.  The closed
+#: form covers the infinite tail as well; the margin fixes the certificate
+#: format, not the amount of work.
 CHECKED_PREFIX_MARGIN = 50
 
-#: Confirmation scan width used by the tail-index computation itself.
+#: Width of the windows of terms built explicitly: 1..SCAN_MARGIN and
+#: [n - SCAN_MARGIN, n + SCAN_MARGIN] around the tail index n.
 SCAN_MARGIN = 10
 
 
@@ -61,8 +74,10 @@ class IrrationalityCertificate:
     (reduced_x, reduced_y) is the gcd-reduced pair (|x|, y) actually expanded;
     tail_index is the smallest n with a_i > b_i for all i > n;
     threshold_index = tail_index + 1 is where the closed-form inequality
-    starts holding permanently; checked_prefix_depth is how far the term
-    stream was explicitly re-verified at emission.
+    starts holding permanently; checked_prefix_depth = tail_index +
+    CHECKED_PREFIX_MARGIN: every term up to here satisfies the hypothesis,
+    proved in closed form and cross-checked explicitly on the head and
+    threshold windows.
     """
 
     x: int
@@ -115,15 +130,27 @@ def _check_integer_positive(term, i: int) -> tuple[int, int]:
     return a, b
 
 
+def _check_tail(i: int, a: int, b: int, n: int) -> None:
+    """Term i obeys tail index n: a_i > b_i past n, and a_n <= b_n when n >= 2."""
+    if i > n and not a > b:
+        raise InvalidTermError(f"a_{i} = {a} <= b_{i} = {b} inside the certified tail", index=i)
+    if i == n and n >= 2 and a > b:
+        raise InvalidTermError(f"tail index {n} is not minimal: a_{n} = {a} > b_{n} = {b}", index=i)
+
+
 def legendre_tail_index(cf: ContinuedFraction) -> int:
     """Smallest n >= 1 such that a_i > b_i for every i > n.
 
-    Requires a closed-form rule with integer coefficients, positive a-slope,
-    and positive constant b past the first term: the linear a_i then
-    eventually dominates the constant b_i, and the threshold is computed
-    symbolically.  The result is confirmed by scanning the terms up to
-    n + 10 (positivity, integrality, the inequality itself, and minimality
-    of n).
+    Requires a closed-form rule with integer coefficients, a_1 >= 1, b >= 1
+    and a positive a-slope.  Every term is then a positive integer, a_i
+    increases and b_i = b_rest is constant from i = 2 on, so n is computed
+    symbolically and proved in exact integers: a_{n+1} > b_rest gives
+    a_i > b_i for every i > n, and a_n <= b_rest makes n minimal when
+    n >= 2.  The terms 1..SCAN_MARGIN (the head window) and
+    n - SCAN_MARGIN..n + SCAN_MARGIN (the threshold window) are also built
+    through ``rule.term`` and checked for integrality, positivity and the
+    same two inequalities, to catch a fault in the implementation of the
+    rule.  The cost does not grow with n.
     """
     rule = cf.rule
     if not isinstance(rule, ClosedFormRule):
@@ -141,15 +168,15 @@ def legendre_tail_index(cf: ContinuedFraction) -> int:
     # Smallest integer i with a_slope*i + a_intercept > b_rest, clamped to
     # start no earlier than i = 2 (the first index ever constrained by a
     # tail at n >= 1); n is one below that threshold.
-    quotient = (rule.b_rest - rule.a_intercept) / rule.a_slope
-    n = max(1, floor(quotient))
+    slope, intercept, b = int(rule.a_slope), int(rule.a_intercept), int(rule.b_rest)
+    n = max(1, (b - intercept) // slope)
+    for i in (n, n + 1):
+        _check_tail(i, slope * i + intercept, b, n)
 
-    for i in range(1, n + SCAN_MARGIN + 1):
-        a, b = _check_integer_positive(rule.term(i), i)
-        if i > n and not a > b:
-            raise InvalidTermError(f"a_{i} = {a} <= b_{i} = {b} inside the certified tail", index=i)
-        if i == n and n >= 2 and a > b:
-            raise InvalidTermError(f"tail index {n} is not minimal: a_{n} = {a} > b_{n} = {b}", index=i)
+    head = range(1, SCAN_MARGIN + 1)
+    threshold = range(max(1, n - SCAN_MARGIN), n + SCAN_MARGIN + 1)
+    for i in sorted({*head, *threshold}):
+        _check_tail(i, *_check_integer_positive(rule.term(i), i), n)
     return n
 
 
@@ -158,7 +185,8 @@ def certify_irrational(x: int, y: int) -> IrrationalityCertificate:
 
     y must be >= 1.  x = 0 yields the NotApplicable verdict (e^0 = 1 is
     rational); a negative x is certified through |x|, since e^(-r) = 1/e^r
-    preserves (ir)rationality.  The pair is gcd-reduced before expansion.
+    preserves (ir)rationality.  The pair is gcd-reduced before expansion,
+    and ``legendre_tail_index`` proves the hypothesis.
     """
     if y < 1:
         raise DomainError("y must be a positive integer")
@@ -170,16 +198,10 @@ def certify_irrational(x: int, y: int) -> IrrationalityCertificate:
         )
     g = gcd(abs(x), y)
     rx, ry = abs(x) // g, y // g
-    cf = tanh_integer_cf(rx, ry)
-    n = legendre_tail_index(cf)
-    checked = n + CHECKED_PREFIX_MARGIN
-    for i in range(1, checked + 1):
-        a, b = _check_integer_positive(cf.term(i), i)
-        if i > n and not a > b:
-            raise InvalidTermError(f"a_{i} = {a} <= b_{i} = {b} inside the certified tail", index=i)
+    n = legendre_tail_index(tanh_integer_cf(rx, ry))
     return IrrationalityCertificate(
         x=x, y=y, reduced_x=rx, reduced_y=ry,
-        tail_index=n, checked_prefix_depth=checked, threshold_index=n + 1,
+        tail_index=n, checked_prefix_depth=n + CHECKED_PREFIX_MARGIN, threshold_index=n + 1,
         verdict=VERDICT_IRRATIONAL,
     )
 
@@ -192,21 +214,28 @@ def verify_certificate(
 
     The certificate is re-derived from its (x, y) alone and must match
     field for field: emission is canonical, so any single-field tampering is
-    detectable.  The term stream is then regenerated independently to
-    ``depth`` (default: the certificate's checked prefix; must not be
-    smaller) and every term is re-checked for positivity, integrality, and
-    a_i > b_i past the tail index.
+    detectable.  The re-derivation proves the hypothesis again, in closed
+    form and on the explicit windows; a fault found there is reported with
+    its index.  An explicit ``depth`` (not below the certificate's checked
+    prefix depth, not above DEPTH_CAP) also regenerates the term stream
+    independently to ``depth`` and re-checks every term for positivity,
+    integrality, and a_i > b_i past the tail index.
 
-    Failures are reported in the outcome, never raised.
+    Failures are reported in the outcome, never raised; a ``depth`` out of
+    range raises ValueError (too small) or DomainError (over budget) before
+    any work.
     """
-    if depth is None:
-        depth = cert.checked_prefix_depth
-    if depth < cert.checked_prefix_depth:
-        raise ValueError("depth must be >= the certificate's checked prefix depth")
+    if depth is not None:
+        if depth < cert.checked_prefix_depth:
+            raise ValueError("depth must be >= the certificate's checked prefix depth")
+        if depth > DEPTH_CAP:
+            raise DomainError(f"depth {depth} exceeds the rescan budget of {DEPTH_CAP} terms")
 
     try:
         expected = certify_irrational(cert.x, cert.y)
-    except (DomainError, InvalidTermError, TailUnreachableError) as exc:
+    except InvalidTermError as exc:
+        return VerificationOutcome(False, reason=str(exc), failed_index=exc.index)
+    except (DomainError, TailUnreachableError) as exc:
         return VerificationOutcome(False, reason=str(exc))
 
     for field in fields(IrrationalityCertificate):
@@ -218,19 +247,13 @@ def verify_certificate(
                 reason=f"{field.name} does not recompute: stored {got!r}, derived {want!r}",
             )
 
-    if cert.verdict == VERDICT_NOT_APPLICABLE:
+    if depth is None or cert.verdict == VERDICT_NOT_APPLICABLE:
         return VerificationOutcome(True)
 
     cf = tanh_integer_cf(cert.reduced_x, cert.reduced_y)
     for i in range(1, depth + 1):
         try:
-            a, b = _check_integer_positive(cf.term(i), i)
+            _check_tail(i, *_check_integer_positive(cf.term(i), i), cert.tail_index)
         except InvalidTermError as exc:
             return VerificationOutcome(False, reason=str(exc), failed_index=i)
-        if i > cert.tail_index and not a > b:
-            return VerificationOutcome(
-                False,
-                reason=f"a_{i} = {a} <= b_{i} = {b} inside the certified tail",
-                failed_index=i,
-            )
     return VerificationOutcome(True)

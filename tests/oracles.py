@@ -8,23 +8,38 @@ intervals: the true value always lies inside [lo, hi].
 
 The ``reference_*`` functions are the Fraction loops that the integer engine
 replaced, kept verbatim as the reference its views must match field by
-field.  They step ``ConvergentState``, the unscaled reference step.
+field.  They step ``ConvergentState``, the unscaled reference step.  The
+``reference_*`` certificate functions are the term scans that the
+closed-form checks of ``cfrac.irrationality`` replaced, also kept verbatim;
+``closed_form_tail_index`` is the tail index in plain integer arithmetic.
 """
 
 from __future__ import annotations
 
+from dataclasses import fields
 from fractions import Fraction
 from math import floor, gcd
 
 from cfrac.cli import MAX_DIGITS, decimal_preview
-from cfrac.core import DEPTH_CAP, ApproximationResult, ConvergentState
+from cfrac.core import DEPTH_CAP, ApproximationResult, ClosedFormRule, ConvergentState
 from cfrac.errors import (
     DepthCapError,
     DomainError,
     ExpansionExhaustedError,
+    InvalidTermError,
     NonPositiveTermError,
+    TailUnreachableError,
 )
 from cfrac.expansions import tanh_integer_cf
+from cfrac.irrationality import (
+    CHECKED_PREFIX_MARGIN,
+    SCAN_MARGIN,
+    VERDICT_IRRATIONAL,
+    VERDICT_NOT_APPLICABLE,
+    IrrationalityCertificate,
+    VerificationOutcome,
+)
+from cfrac.rationals import is_integer
 
 
 def bottom_up_value(cf, depth: int) -> Fraction:
@@ -240,3 +255,112 @@ def reference_convergent_rows(cf, depth):
         )
         prev = value
     return rows
+
+
+def closed_form_tail_index(rx: int, ry: int) -> int:
+    """Tail index of tanh_integer_cf(rx, ry): smallest n >= 1 with (2i-1) ry > rx^2 for i > n."""
+    return max(1, (rx * rx // ry + 1) // 2)
+
+
+def _check_integer_positive(term, i: int) -> tuple[int, int]:
+    if not (is_integer(term.a) and is_integer(term.b)):
+        raise InvalidTermError(f"term {i} is not integral: a={term.a}, b={term.b}", index=i)
+    a, b = int(term.a), int(term.b)
+    if a < 1 or b < 1:
+        raise InvalidTermError(f"term {i} is not positive: a={a}, b={b}", index=i)
+    return a, b
+
+
+def reference_legendre_tail_index(cf) -> int:
+    """``irrationality.legendre_tail_index`` scanning every term to n + 10."""
+    rule = cf.rule
+    if not isinstance(rule, ClosedFormRule):
+        raise DomainError("tail index needs a closed-form term rule")
+    coeffs = (rule.b_first, rule.b_rest, rule.a_slope, rule.a_intercept)
+    if not all(is_integer(c) for c in coeffs):
+        raise InvalidTermError(f"rule coefficients are not integers: {coeffs}")
+    if rule.a_slope <= 0:
+        raise TailUnreachableError(
+            "partial denominators do not grow; the tail condition can never hold"
+        )
+    if rule.b_first < 1 or rule.b_rest < 1 or rule.a_slope + rule.a_intercept < 1:
+        raise InvalidTermError("expansion has a nonpositive term")
+
+    # Smallest integer i with a_slope*i + a_intercept > b_rest, clamped to
+    # start no earlier than i = 2 (the first index ever constrained by a
+    # tail at n >= 1); n is one below that threshold.
+    quotient = (rule.b_rest - rule.a_intercept) / rule.a_slope
+    n = max(1, floor(quotient))
+
+    for i in range(1, n + SCAN_MARGIN + 1):
+        a, b = _check_integer_positive(rule.term(i), i)
+        if i > n and not a > b:
+            raise InvalidTermError(f"a_{i} = {a} <= b_{i} = {b} inside the certified tail", index=i)
+        if i == n and n >= 2 and a > b:
+            raise InvalidTermError(f"tail index {n} is not minimal: a_{n} = {a} > b_{n} = {b}", index=i)
+    return n
+
+
+def reference_certify_irrational(x: int, y: int) -> IrrationalityCertificate:
+    """``irrationality.certify_irrational`` rescanning every term to n + 50."""
+    if y < 1:
+        raise DomainError("y must be a positive integer")
+    if x == 0:
+        return IrrationalityCertificate(
+            x=x, y=y, reduced_x=0, reduced_y=y,
+            tail_index=0, checked_prefix_depth=0, threshold_index=0,
+            verdict=VERDICT_NOT_APPLICABLE,
+        )
+    g = gcd(abs(x), y)
+    rx, ry = abs(x) // g, y // g
+    cf = tanh_integer_cf(rx, ry)
+    n = reference_legendre_tail_index(cf)
+    checked = n + CHECKED_PREFIX_MARGIN
+    for i in range(1, checked + 1):
+        a, b = _check_integer_positive(cf.term(i), i)
+        if i > n and not a > b:
+            raise InvalidTermError(f"a_{i} = {a} <= b_{i} = {b} inside the certified tail", index=i)
+    return IrrationalityCertificate(
+        x=x, y=y, reduced_x=rx, reduced_y=ry,
+        tail_index=n, checked_prefix_depth=checked, threshold_index=n + 1,
+        verdict=VERDICT_IRRATIONAL,
+    )
+
+
+def reference_verify_certificate(cert, depth=None) -> VerificationOutcome:
+    """``irrationality.verify_certificate`` rescanning every term to ``depth``."""
+    if depth is None:
+        depth = cert.checked_prefix_depth
+    if depth < cert.checked_prefix_depth:
+        raise ValueError("depth must be >= the certificate's checked prefix depth")
+
+    try:
+        expected = reference_certify_irrational(cert.x, cert.y)
+    except (DomainError, InvalidTermError, TailUnreachableError) as exc:
+        return VerificationOutcome(False, reason=str(exc))
+
+    for field in fields(IrrationalityCertificate):
+        got = getattr(cert, field.name)
+        want = getattr(expected, field.name)
+        if got != want:
+            return VerificationOutcome(
+                False,
+                reason=f"{field.name} does not recompute: stored {got!r}, derived {want!r}",
+            )
+
+    if cert.verdict == VERDICT_NOT_APPLICABLE:
+        return VerificationOutcome(True)
+
+    cf = tanh_integer_cf(cert.reduced_x, cert.reduced_y)
+    for i in range(1, depth + 1):
+        try:
+            a, b = _check_integer_positive(cf.term(i), i)
+        except InvalidTermError as exc:
+            return VerificationOutcome(False, reason=str(exc), failed_index=i)
+        if i > cert.tail_index and not a > b:
+            return VerificationOutcome(
+                False,
+                reason=f"a_{i} = {a} <= b_{i} = {b} inside the certified tail",
+                failed_index=i,
+            )
+    return VerificationOutcome(True)

@@ -51,7 +51,6 @@ from .irrationality import (
     legendre_tail_index,
     verify_certificate,
 )
-from .rationals import Rational, compare, is_integer, make_rational
 
 __all__ = [
     "DEPTH_CAP",
@@ -68,7 +67,6 @@ __all__ = [
     "InvalidTermError",
     "IrrationalityCertificate",
     "NonPositiveTermError",
-    "Rational",
     "ScaledRule",
     "TailArgument",
     "TailUnreachableError",
@@ -78,16 +76,13 @@ __all__ = [
     "VerificationOutcome",
     "ZeroScaleError",
     "certify_irrational",
-    "compare",
     "convergents",
     "e_simple_cf",
     "equivalence_transform",
     "evaluate",
     "exp_rational",
     "gauss_tanh_cf",
-    "is_integer",
     "legendre_tail_index",
-    "make_rational",
     "tanh_integer_cf",
     "tanh_rational",
     "terms",

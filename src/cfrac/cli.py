@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .core import DEPTH_CAP, _Walk
@@ -43,19 +44,19 @@ from .irrationality import (
 
 MAX_DIGITS = 10_000
 
-#: Canonical certificate schema: fixed key order, integers as decimal strings
-#: so consumers without big integers cannot silently overflow.
-CERTIFICATE_KEYS = (
-    "x",
-    "y",
-    "reducedX",
-    "reducedY",
-    "tailIndex",
-    "checkedPrefixDepth",
-    "thresholdIndex",
-    "verdict",
-    "engineVersion",
+#: Canonical certificate schema: (JSON key, certificate attribute) for the
+#: integer fields, written as decimal strings so consumers without big integers
+#: cannot silently overflow, then the verdict and the engine version.
+_CERTIFICATE_INTEGERS = (
+    ("x", "x"),
+    ("y", "y"),
+    ("reducedX", "reduced_x"),
+    ("reducedY", "reduced_y"),
+    ("tailIndex", "tail_index"),
+    ("checkedPrefixDepth", "checked_prefix_depth"),
+    ("thresholdIndex", "threshold_index"),
 )
+CERTIFICATE_KEYS = (*(key for key, _ in _CERTIFICATE_INTEGERS), "verdict", "engineVersion")
 
 PREVIEW_DIGITS = 20
 
@@ -117,26 +118,29 @@ def certified_digits(expr: str, x: int, y: int, digits: int) -> tuple[DigitStrin
         if lo > 0:
             n_lo = lo * scale // den
             if n_lo == hi * scale // den:
-                text = str(n_lo)
-                integer_part = text[:-digits] if len(text) > digits else "0"
-                fractional_part = text[-digits:].rjust(digits, "0")
-                return DigitString("+", integer_part, fractional_part, digits), depth
+                whole, fraction = divmod(n_lo, scale)
+                return DigitString("+", str(whole), _zero_padded(fraction, digits), digits), depth
+
+
+def _zero_padded(n: int, width: int) -> str:
+    """0 <= n < 10^width as exactly ``width`` decimal digits.
+
+    Splits on powers of ten, so no str() call sees more than 2048 digits:
+    CPython refuses int-to-str conversions past 4300 digits.
+    """
+    if width <= 2048:
+        return str(n).rjust(width, "0")
+    high, low = divmod(n, 10 ** (width // 2))
+    return _zero_padded(high, width - width // 2) + _zero_padded(low, width // 2)
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def certificate_to_json(cert: IrrationalityCertificate) -> str:
-    payload = {
-        "x": str(cert.x),
-        "y": str(cert.y),
-        "reducedX": str(cert.reduced_x),
-        "reducedY": str(cert.reduced_y),
-        "tailIndex": str(cert.tail_index),
-        "checkedPrefixDepth": str(cert.checked_prefix_depth),
-        "thresholdIndex": str(cert.threshold_index),
-        "verdict": cert.verdict,
-        "engineVersion": __version__,
-    }
-    assert tuple(payload) == CERTIFICATE_KEYS
-    return json.dumps(payload, indent=2) + "\n"
+    payload = {key: str(getattr(cert, attr)) for key, attr in _CERTIFICATE_INTEGERS}
+    return _json({**payload, "verdict": cert.verdict, "engineVersion": __version__})
 
 
 def certificate_from_json(text: str) -> IrrationalityCertificate:
@@ -168,16 +172,8 @@ def certificate_from_json(text: str) -> IrrationalityCertificate:
         raise CertificateFormatError(f"unknown verdict: {verdict!r}")
     if not isinstance(payload["engineVersion"], str):
         raise CertificateFormatError("engineVersion must be a string")
-    return IrrationalityCertificate(
-        x=_int("x"),
-        y=_int("y"),
-        reduced_x=_int("reducedX"),
-        reduced_y=_int("reducedY"),
-        tail_index=_int("tailIndex"),
-        checked_prefix_depth=_int("checkedPrefixDepth"),
-        threshold_index=_int("thresholdIndex"),
-        verdict=verdict,
-    )
+    integers = {attr: _int(key) for key, attr in _CERTIFICATE_INTEGERS}
+    return IrrationalityCertificate(**integers, verdict=verdict)
 
 
 def certificate_to_text(cert: IrrationalityCertificate) -> str:
@@ -195,11 +191,14 @@ def certificate_to_text(cert: IrrationalityCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
+def _emit(args, render_json: Callable[[], str], render_text: Callable[[], str]) -> int:
+    """Render only the format ``--format`` asks for; write it to ``--out`` or stdout."""
+    text = render_json() if args.format == "json" else render_text()
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _convergent_rows(cf, depth: int) -> list[dict]:
@@ -244,48 +243,32 @@ def cmd_convergents(args) -> int:
     if args.depth < 1:
         raise DomainError("depth must be >= 1")
     rows = _convergent_rows(cf, args.depth)
-    if args.format == "json":
-        payload = {"expansion": args.expansion, "depth": args.depth, "convergents": rows}
-        if args.expansion == "tanh":
-            payload["x"] = str(args.x)
-            payload["y"] = str(args.y)
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = _render_rows(rows)
-    _emit(text, args.out)
-    return 0
+    payload = {"expansion": args.expansion, "depth": args.depth, "convergents": rows}
+    if args.expansion == "tanh":
+        payload.update(x=str(args.x), y=str(args.y))
+    return _emit(args, lambda: _json(payload), lambda: _render_rows(rows))
 
 
 def cmd_digits(args) -> int:
     digit_string, depth = certified_digits(args.expr, args.x, args.y, args.digits)
-    if args.format == "json":
-        payload = {
-            "expr": args.expr,
-            "x": str(args.x),
-            "y": str(args.y),
-            "value": digit_string.render(),
-            "sign": digit_string.sign,
-            "integerPart": digit_string.integer_part,
-            "fractionalPart": digit_string.fractional_part,
-            "guaranteedDigits": digit_string.guaranteed_digits,
-            "cfDepth": depth,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = (
-            f"{digit_string.render()}\n"
-            f"guaranteed digits: {digit_string.guaranteed_digits}\n"
-            f"expansion depth: {depth}\n"
-        )
-    _emit(text, args.out)
-    return 0
+    payload = {
+        "expr": args.expr,
+        "x": str(args.x),
+        "y": str(args.y),
+        "value": digit_string.render(),
+        "sign": digit_string.sign,
+        "integerPart": digit_string.integer_part,
+        "fractionalPart": digit_string.fractional_part,
+        "guaranteedDigits": digit_string.guaranteed_digits,
+        "cfDepth": depth,
+    }
+    text = "{value}\nguaranteed digits: {guaranteedDigits}\nexpansion depth: {cfDepth}\n"
+    return _emit(args, lambda: _json(payload), lambda: text.format_map(payload))
 
 
 def cmd_certify(args) -> int:
     cert = certify_irrational(args.x, args.y)
-    text = certificate_to_json(cert) if args.format == "json" else certificate_to_text(cert)
-    _emit(text, args.out)
-    return 0
+    return _emit(args, lambda: certificate_to_json(cert), lambda: certificate_to_text(cert))
 
 
 def cmd_verify(args) -> int:

@@ -402,13 +402,13 @@ def equivalence_transform(cf: ContinuedFraction, scales: Scales) -> ContinuedFra
 
     A constant scale applied to a closed-form rule folds back into a
     closed-form rule (a_i stays affine in i, b stays constant past b_1), so
-    integer-term families keep their closed form.  Zero scales are rejected:
-    immediately for constants and explicit lists, at first use otherwise.
+    integer-term families keep their closed form.  An explicit list is
+    scaled eagerly, term by term through ``ScaledRule``, and stays a list.
+    Zero scales are rejected: immediately for constants and explicit lists,
+    at first use otherwise.
     """
-    rule = cf.rule
-    if callable(scales):
-        scale_fn = lambda i: Fraction(scales(i))  # noqa: E731
-    else:
+    rule, scale_fn = cf.rule, scales
+    if not callable(scales):
         constant = Fraction(scales)
         if constant == 0:
             raise ZeroScaleError(1)
@@ -422,16 +422,7 @@ def equivalence_transform(cf: ContinuedFraction, scales: Scales) -> ContinuedFra
             return ContinuedFraction(cf.leading, folded)
         scale_fn = lambda i: constant  # noqa: E731
 
+    scaled = ScaledRule(rule, scale_fn)
     if isinstance(rule, ExplicitListRule):
-        scaled = []
-        c_prev = Fraction(1)
-        for i in range(1, len(rule) + 1):
-            c = scale_fn(i)
-            if c == 0:
-                raise ZeroScaleError(i)
-            base = rule.term(i)
-            scaled.append(Term(c * base.a, c * c_prev * base.b))
-            c_prev = c
-        return ContinuedFraction(cf.leading, ExplicitListRule(tuple(scaled)))
-
-    return ContinuedFraction(cf.leading, ScaledRule(rule, scale_fn))
+        scaled = ExplicitListRule(tuple(map(scaled.term, range(1, len(rule) + 1))))
+    return ContinuedFraction(cf.leading, scaled)

@@ -36,7 +36,6 @@ from math import gcd
 from .core import DEPTH_CAP, ClosedFormRule, ContinuedFraction
 from .errors import DomainError, InvalidTermError, TailUnreachableError
 from .expansions import tanh_integer_cf
-from .rationals import is_integer
 
 VERDICT_IRRATIONAL = "CertifiedIrrational"
 VERDICT_NOT_APPLICABLE = "NotApplicable"
@@ -122,7 +121,7 @@ class VerificationOutcome:
 
 
 def _check_integer_positive(term, i: int) -> tuple[int, int]:
-    if not (is_integer(term.a) and is_integer(term.b)):
+    if not (term.a.denominator == 1 and term.b.denominator == 1):
         raise InvalidTermError(f"term {i} is not integral: a={term.a}, b={term.b}", index=i)
     a, b = int(term.a), int(term.b)
     if a < 1 or b < 1:
@@ -156,7 +155,7 @@ def legendre_tail_index(cf: ContinuedFraction) -> int:
     if not isinstance(rule, ClosedFormRule):
         raise DomainError("tail index needs a closed-form term rule")
     coeffs = (rule.b_first, rule.b_rest, rule.a_slope, rule.a_intercept)
-    if not all(is_integer(c) for c in coeffs):
+    if not all(c.denominator == 1 for c in coeffs):
         raise InvalidTermError(f"rule coefficients are not integers: {coeffs}")
     if rule.a_slope <= 0:
         raise TailUnreachableError(

@@ -39,7 +39,6 @@ from cfrac.irrationality import (
     IrrationalityCertificate,
     VerificationOutcome,
 )
-from cfrac.rationals import is_integer
 
 
 def bottom_up_value(cf, depth: int) -> Fraction:
@@ -260,6 +259,11 @@ def reference_convergent_rows(cf, depth):
 def closed_form_tail_index(rx: int, ry: int) -> int:
     """Tail index of tanh_integer_cf(rx, ry): smallest n >= 1 with (2i-1) ry > rx^2 for i > n."""
     return max(1, (rx * rx // ry + 1) // 2)
+
+
+def is_integer(q: Fraction) -> bool:
+    """True when q is an integer (canonical denominator 1)."""
+    return q.denominator == 1
 
 
 def _check_integer_positive(term, i: int) -> tuple[int, int]:

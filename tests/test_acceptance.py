@@ -25,7 +25,6 @@ from cfrac.expansions import (
     tanh_rational,
 )
 from cfrac.irrationality import certify_irrational, verify_certificate
-from cfrac.rationals import make_rational
 
 from tests.oracles import (
     bottom_up_value,
@@ -68,7 +67,7 @@ def test_criterion_1_e_convergent_table(capsys):
         out = capsys.readouterr().out
         assert code == 0
         rows = json.loads(out)["convergents"]
-        got = [make_rational(int(r["h"]), int(r["k"])) for r in rows]
+        got = [Fraction(int(r["h"]), int(r["k"])) for r in rows]
         assert got == expected
         assert elapsed < 0.1, f"took {elapsed:.3f} s"
 
@@ -204,4 +203,4 @@ def test_criterion_9_degenerate_handling(capsys):
             capsys.readouterr()
 
         with pytest.raises(ZeroDivisionError):
-            make_rational(1, 0)
+            Fraction(1, 0)

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import mpmath
+
 from cfrac import cli
 from cfrac.cli import (
     certificate_from_json,
@@ -159,6 +161,19 @@ def test_digit_correctness_against_oracle_grid():
             assert digit_string.render() == enclosure_digits(*tanh_enclosure(F(x, y), 120), 25)
 
 
+def test_digits_past_the_int_str_limit_match_mpmath(capsys):
+    # CPython's str() refuses ints past 4300 digits; the digits must not.
+    for x, y, n in ((1, 2, 4400), (1, 1, 10000)):
+        code, out, err = run_cli(capsys, "digits", "--expr", "exp", "--x", str(x), "--y", str(y),
+                                 "--digits", str(n))
+        assert code == 0, err
+        with mpmath.workdps(n + 40):
+            scaled = int(mpmath.floor(mpmath.exp(mpmath.mpf(x) / y) * mpmath.mpf(10) ** n))
+        expected = mpmath.libmp.numeral(scaled, 10, n + 1)
+        assert out.splitlines()[0] == f"{expected[:-n]}.{expected[-n:]}"
+        assert out.splitlines()[1] == f"guaranteed digits: {n}"
+
+
 def test_decimal_preview():
     assert decimal_preview(F(0)) == "0"
     assert decimal_preview(F(3), sig=5) == "3.0000"
@@ -210,9 +225,11 @@ def test_certify_verify_round_trip(capsys, tmp_path):
 
 
 def test_json_round_trip_is_byte_identical(tmp_path):
-    cert = certify_irrational(3, 2)
-    blob = certificate_to_json(cert)
-    assert certificate_to_json(certificate_from_json(blob)) == blob
+    for x, y in ((3, 2), (0, 5), (-14, 1), (1000001, 3)):
+        cert = certify_irrational(x, y)
+        blob = certificate_to_json(cert)
+        assert certificate_from_json(blob) == cert
+        assert certificate_to_json(certificate_from_json(blob)) == blob
 
 
 def test_verify_tampered_file_exits_one(capsys, tmp_path):

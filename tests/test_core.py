@@ -231,8 +231,9 @@ def test_transform_zero_scale_reported_when_consumed():
 
 def test_transform_zero_scale_in_explicit_list_immediate():
     cf = ContinuedFraction(F(0), ExplicitListRule((Term(F(1), F(1)), Term(F(2), F(1)))))
-    with pytest.raises(ZeroScaleError):
+    with pytest.raises(ZeroScaleError) as info:
         equivalence_transform(cf, lambda i: F(2 - i))
+    assert info.value.index == 2
 
 
 def test_transform_preserves_convergents_constant_scales():
@@ -249,6 +250,13 @@ def test_transform_preserves_convergents_per_index_scales():
     assert convergents(base, 10) == convergents(scaled, 10)
     # the terms themselves do change
     assert terms(base, 3) != terms(scaled, 3)
+    # an explicit list stays an eager list of the lazily scaled terms
+    listed = _random_positive_cf(random.Random(7), 12, leading=F(3, 2))
+    scaled = equivalence_transform(listed, lambda i: F(i, 3))
+    lazy = ScaledRule(listed.rule, lambda i: F(i, 3))
+    assert isinstance(scaled.rule, ExplicitListRule) and len(scaled.rule) == 12
+    assert [scaled.term(i) for i in range(1, 13)] == [lazy.term(i) for i in range(1, 13)]
+    assert convergents(listed, 12) == convergents(scaled, 12)
 
 
 def test_closed_form_integer_coefficients_give_integer_terms():

@@ -30,3 +30,10 @@ def test_python_dash_m_cfrac_cli_prints_digits():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[0] == "2.71828"
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from cfrac import *", namespace)
+    assert len(set(cfrac.__all__)) == len(cfrac.__all__) == 34
+    assert all(name in namespace for name in cfrac.__all__)

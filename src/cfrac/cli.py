@@ -9,6 +9,14 @@ Decimal rendering lives here and only here; the library underneath never
 leaves exact rational arithmetic.  Digit strings are truncated, not rounded:
 truncated digits are certifiable directly from a two-sided bound, and an
 interval straddling a truncation boundary simply forces further refinement.
+
+str() of an int is quadratic in its length, and CPython refuses it past
+``sys.get_int_max_str_digits()`` digits.  Digits and certificate integers are
+rendered and parsed in chunks below the smallest limit the interpreter
+accepts, so they print at any size.  Convergent tables are walked in base-10
+integers (``decimal.Decimal`` under an exact context), which print in linear
+time; a row that would print an integer past the interpreter's limit fails as
+str() of that integer would.
 """
 
 from __future__ import annotations
@@ -17,8 +25,21 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    ROUND_DOWN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    localcontext,
+)
 from fractions import Fraction
 from itertools import count
+from math import gcd
 from pathlib import Path
 from typing import Callable
 
@@ -60,6 +81,16 @@ CERTIFICATE_KEYS = (*(key for key, _ in _CERTIFICATE_INTEGERS), "verdict", "engi
 
 PREVIEW_DIGITS = 20
 
+#: Integer arithmetic in base 10 without rounding: any result that would be
+#: rounded raises instead.  Used only through ``localcontext``, which copies it.
+_EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, InvalidOperation, DivisionByZero]
+)
+
+#: The smallest int-str limit CPython accepts: no str() or int() call on a
+#: chunk of this many digits can hit the limit, whatever it is set to.
+_CHUNK_DIGITS = sys.int_info.str_digits_check_threshold
+
 
 @dataclass(frozen=True)
 class DigitString:
@@ -75,25 +106,21 @@ class DigitString:
         return f"{prefix}{self.integer_part}.{self.fractional_part}"
 
 
-def decimal_preview(q: Fraction, sig: int = PREVIEW_DIGITS) -> str:
-    """Truncated decimal with ``sig`` significant digits.  Display only."""
-    if q == 0:
+def decimal_preview(h, k, sig: int = PREVIEW_DIGITS) -> str:
+    """h/k truncated to ``sig`` significant digits.  Display only.
+
+    h and k > 0 are ints or integer-valued Decimals.  The division is
+    correctly rounded toward zero at ``sig`` digits, so its digits are those
+    of the exact quotient; an integer part longer than that is printed whole.
+    """
+    if h == 0:
         return "0"
-    sign = "-" if q < 0 else ""
-    a, b = abs(q.numerator), q.denominator
-    if a >= b:
-        int_digits = len(str(a // b))
-        places = max(sig - int_digits, 0)
-        scaled = str(a * 10**places // b)
-        if places == 0:
-            return sign + scaled
-        return sign + scaled[:-places] + "." + scaled[-places:]
-    leading_zeros = 0
-    while a * 10 ** (leading_zeros + 1) < b:
-        leading_zeros += 1
-    places = sig + leading_zeros
-    scaled = str(a * 10**places // b).rjust(places, "0")
-    return sign + "0." + scaled
+    quotient = Context(prec=sig, rounding=ROUND_DOWN).divide(h, k)
+    places = sig - 1 - quotient.adjusted()
+    if places < 0:
+        with localcontext(_EXACT):
+            return str(Decimal(h) // k)
+    return f"{quotient:.{places}f}"
 
 
 def certified_digits(expr: str, x: int, y: int, digits: int) -> tuple[DigitString, int]:
@@ -119,19 +146,39 @@ def certified_digits(expr: str, x: int, y: int, digits: int) -> tuple[DigitStrin
             n_lo = lo * scale // den
             if n_lo == hi * scale // den:
                 whole, fraction = divmod(n_lo, scale)
-                return DigitString("+", str(whole), _zero_padded(fraction, digits), digits), depth
+                integer_part, fractional_part = _decimal(whole), _zero_padded(fraction, digits)
+                return DigitString("+", integer_part, fractional_part, digits), depth
 
 
 def _zero_padded(n: int, width: int) -> str:
     """0 <= n < 10^width as exactly ``width`` decimal digits.
 
-    Splits on powers of ten, so no str() call sees more than 2048 digits:
-    CPython refuses int-to-str conversions past 4300 digits.
+    Splits on powers of ten, so no str() call sees more than ``_CHUNK_DIGITS``
+    digits and the interpreter's int-str limit never applies.
     """
-    if width <= 2048:
+    if width <= _CHUNK_DIGITS:
         return str(n).rjust(width, "0")
     high, low = divmod(n, 10 ** (width // 2))
     return _zero_padded(high, width - width // 2) + _zero_padded(low, width // 2)
+
+
+def _decimal(n: int) -> str:
+    """str(n) at any size, through ``_zero_padded``."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    # n < 2^bits <= 10^(bits // 3 + 1), as log10(2) < 1/3
+    return _zero_padded(n, n.bit_length() // 3 + 1).lstrip("0") or "0"
+
+
+def _integer(text: str) -> int:
+    """int(text) at any size: a long run of ASCII digits is parsed in halves."""
+    negative = text.startswith("-")
+    digits = text[1:] if negative else text
+    if len(digits) <= _CHUNK_DIGITS or not (digits.isascii() and digits.isdigit()):
+        return int(text)
+    low = len(digits) // 2
+    value = _integer(digits[:-low]) * 10**low + _integer(digits[-low:])
+    return -value if negative else value
 
 
 def _json(payload: dict) -> str:
@@ -139,7 +186,7 @@ def _json(payload: dict) -> str:
 
 
 def certificate_to_json(cert: IrrationalityCertificate) -> str:
-    payload = {key: str(getattr(cert, attr)) for key, attr in _CERTIFICATE_INTEGERS}
+    payload = {key: _decimal(getattr(cert, attr)) for key, attr in _CERTIFICATE_INTEGERS}
     return _json({**payload, "verdict": cert.verdict, "engineVersion": __version__})
 
 
@@ -163,7 +210,7 @@ def certificate_from_json(text: str) -> IrrationalityCertificate:
         if not isinstance(value, str):
             raise CertificateFormatError(f"{key} must be a decimal string")
         try:
-            return int(value)
+            return _integer(value)
         except ValueError as exc:
             raise CertificateFormatError(f"{key} is not an integer: {value!r}") from exc
 
@@ -177,15 +224,16 @@ def certificate_from_json(text: str) -> IrrationalityCertificate:
 
 
 def certificate_to_text(cert: IrrationalityCertificate) -> str:
+    n = {attr: _decimal(getattr(cert, attr)) for _, attr in _CERTIFICATE_INTEGERS}
     lines = [
-        f"x/y: {cert.x}/{cert.y} (reduced: {cert.reduced_x}/{cert.reduced_y})",
+        f"x/y: {n['x']}/{n['y']} (reduced: {n['reduced_x']}/{n['reduced_y']})",
         f"verdict: {cert.verdict}",
     ]
     if cert.verdict == VERDICT_IRRATIONAL:
         lines += [
-            f"tail index: {cert.tail_index}",
-            f"threshold index: {cert.threshold_index}",
-            f"checked prefix depth: {cert.checked_prefix_depth}",
+            f"tail index: {n['tail_index']}",
+            f"threshold index: {n['threshold_index']}",
+            f"checked prefix depth: {n['checked_prefix_depth']}",
         ]
     lines.append(f"statement: {cert.statement()}")
     return "\n".join(lines) + "\n"
@@ -201,23 +249,56 @@ def _emit(args, render_json: Callable[[], str], render_text: Callable[[], str]) 
     return 0
 
 
+def _row_text(n: Decimal) -> str:
+    """An integer-valued Decimal in decimal digits, under the int-str limit.
+
+    str() of a Decimal takes linear time and never checks the limit, so a
+    number past it goes through str(int(n)) to raise the interpreter's own
+    ValueError, as a table of ints would.
+    """
+    text = str(n)
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        str(int(n))
+    return text
+
+
 def _convergent_rows(cf, depth: int) -> list[dict]:
+    """Rows n = 1..depth: h_n/k_n and the gap P_n/(k_n k_{n-1}) in lowest terms.
+
+    The walk holds Decimal integers in an exact context, so every row
+    prints in time linear in its digits.  By the determinant identity a
+    common divisor of h_n and k_n divides P_n, and so does one of P_n and
+    k_n k_{n-1}: a row with P_n = 1 is in lowest terms as it stands.
+    """
     rows = []
 
     def row(state):  # returns None: never stops the walk
         n, _, h, k_prev, k, p = state
-        value = Fraction(h, k)
+        den = k * k_prev
+        if p > 1:
+            # gcd(h, k) divides gcd(P, k), which divides g = gcd(P, k k')
+            g = gcd(int(p), int(den % p))
+            if g > 1:
+                p, den = p // g, den // g
+                g = gcd(g, int(h % g), int(k % g))
+                h, k = h // g, k // g
+        gap = _row_text(p) if den == 1 else f"{_row_text(p)}/{_row_text(den)}"
         rows.append(
             {
                 "index": n,
-                "h": str(value.numerator),
-                "k": str(value.denominator),
-                "value": decimal_preview(value),
-                "gap": str(Fraction(p, k * k_prev)),
+                "h": _row_text(h),
+                "k": _row_text(k),
+                "value": decimal_preview(h, k),
+                "gap": gap,
             }
         )
 
-    _Walk(cf).run(row, depth)
+    walk = _Walk(cf)
+    n, *integers = walk.state
+    walk.state = (n, *map(Decimal, integers))
+    with localcontext(_EXACT):
+        walk.run(row, depth)
     return rows
 
 
@@ -281,11 +362,11 @@ def cmd_verify(args) -> int:
     outcome = verify_certificate(cert, args.depth)
     if outcome:
         depth = cert.checked_prefix_depth if args.depth is None else args.depth
-        print(f"certificate verified to depth {depth}: {cert.statement()}")
+        print(f"certificate verified to depth {_decimal(depth)}: {cert.statement()}")
         return 0
     print(f"verification failed: {outcome.reason}", file=sys.stderr)
     if outcome.failed_index is not None:
-        print(f"violated index: {outcome.failed_index}", file=sys.stderr)
+        print(f"violated index: {_decimal(outcome.failed_index)}", file=sys.stderr)
     return 1
 
 

@@ -24,6 +24,9 @@ Every evaluator is a view of one integer engine, ``_Walk``.  The equivalence
 transform with scales c_0 = den(a0), c_i = den(a_i) den(b_i) clears the terms
 to integers and multiplies h_n and k_n by c_0...c_n, so no convergent
 changes; the walk holds (n, h_{n-1}, h_n, k_{n-1}, k_n, P_n) with P_n = |D_n|.
+It only adds, multiplies and compares, so the state may be any exact integer
+type: the convergent tables of ``cli`` seed it with ``decimal.Decimal``
+integers under an exact context, which print in linear time.
 Stopping tests cross-multiply: gap <= p/q is P_n q <= p k_n k_{n-1}.  A
 bit-length test may reject a step before multiplying; bit lengths fix a
 product only within a factor of two, so that test is a necessary condition
@@ -247,7 +250,10 @@ class _Walk:
 
     ``state`` is (n, h_{n-1}, h_n, k_{n-1}, k_n, P_n) with P_n = c_0 b_1' ... b_n',
     which is |D_n| for positive terms.  With ``positive``, consuming a term
-    that is not strictly positive raises NonPositiveTermError.
+    that is not strictly positive raises NonPositiveTermError.  The terms are
+    ints; the five integers of ``state`` may be re-seeded with any exact
+    integer type that adds and multiplies with ints, such as Decimal under a
+    context that traps Inexact.
     """
 
     def __init__(self, cf: ContinuedFraction, positive: bool = True):

@@ -8,7 +8,9 @@ intervals: the true value always lies inside [lo, hi].
 
 The ``reference_*`` functions are the Fraction loops that the integer engine
 replaced, kept verbatim as the reference its views must match field by
-field.  They step ``ConvergentState``, the unscaled reference step.  The
+field.  They step ``ConvergentState``, the unscaled reference step.
+``decimal_preview`` is the Fraction preview that the table rows used before
+they were walked in base 10, also kept verbatim.  The
 ``reference_*`` certificate functions are the term scans that the
 closed-form checks of ``cfrac.irrationality`` replaced, also kept verbatim;
 ``closed_form_tail_index`` is the tail index in plain integer arithmetic.
@@ -20,7 +22,7 @@ from dataclasses import fields
 from fractions import Fraction
 from math import floor, gcd
 
-from cfrac.cli import MAX_DIGITS, decimal_preview
+from cfrac.cli import MAX_DIGITS, PREVIEW_DIGITS
 from cfrac.core import DEPTH_CAP, ApproximationResult, ClosedFormRule, ConvergentState
 from cfrac.errors import (
     DepthCapError,
@@ -233,6 +235,27 @@ def reference_certified_digits(expr, x, y, digits):
                 return f"{integer_part}.{fractional_part}", result.depth
         tol /= 10**4
     raise DomainError(f"could not pin {digits} digits for {expr}({x}/{y})")
+
+
+def decimal_preview(q: Fraction, sig: int = PREVIEW_DIGITS) -> str:
+    """Truncated decimal with ``sig`` significant digits.  Display only."""
+    if q == 0:
+        return "0"
+    sign = "-" if q < 0 else ""
+    a, b = abs(q.numerator), q.denominator
+    if a >= b:
+        int_digits = len(str(a // b))
+        places = max(sig - int_digits, 0)
+        scaled = str(a * 10**places // b)
+        if places == 0:
+            return sign + scaled
+        return sign + scaled[:-places] + "." + scaled[-places:]
+    leading_zeros = 0
+    while a * 10 ** (leading_zeros + 1) < b:
+        leading_zeros += 1
+    places = sig + leading_zeros
+    scaled = str(a * 10**places // b).rjust(places, "0")
+    return sign + "0." + scaled
 
 
 def reference_convergent_rows(cf, depth):

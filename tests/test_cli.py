@@ -1,7 +1,10 @@
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath
+import pytest
 
 from cfrac import cli
 from cfrac.cli import (
@@ -10,9 +13,16 @@ from cfrac.cli import (
     certified_digits,
     decimal_preview,
 )
+from cfrac.errors import CertificateFormatError
+from cfrac.expansions import e_simple_cf, tanh_integer_cf
 from cfrac.irrationality import certify_irrational
 
-from tests.oracles import enclosure_digits, exp_enclosure, tanh_enclosure
+from tests.oracles import (
+    enclosure_digits,
+    exp_enclosure,
+    reference_convergent_rows,
+    tanh_enclosure,
+)
 
 F = Fraction
 
@@ -21,6 +31,17 @@ def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextmanager
+def int_str_limit(digits):
+    """CPython's int-str limit set to ``digits`` (0: none), restored on exit."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # ---------------------------------------------------------------- convergents
@@ -65,6 +86,37 @@ def test_convergents_tanh_depth_two(capsys):
     payload = json.loads(out)
     got = [F(int(r["h"]), int(r["k"])) for r in payload["convergents"]]
     assert code == 0 and got == [F(1), F(3, 4)]
+
+
+def _first_row_past(rows, digits):
+    """Index of the first row that prints an integer of more than ``digits`` digits."""
+    for row in rows:
+        if max(map(len, (row["h"], row["k"], *row["gap"].split("/")))) > digits:
+            return row["index"]
+
+
+def test_convergent_tables_keep_the_int_str_limit(capsys):
+    # A table fails at the first row that prints an integer past the limit,
+    # with the interpreter's own message, as str() of an int would.
+    with int_str_limit(640), pytest.raises(ValueError) as refusal:
+        str(10**640)
+    for x, y, fmt in ((0, 0, "text"), (7, 3, "json"), (12, 18, "text")):
+        cf = tanh_integer_cf(x, y) if x else e_simple_cf()
+        expansion = ("tanh", "--x", str(x), "--y", str(y)) if x else ("e",)
+        with int_str_limit(0):
+            row = _first_row_past(reference_convergent_rows(cf, 800), 640)
+        argv = ("convergents", "--expansion", *expansion, "--format", fmt, "--depth")
+        with int_str_limit(640):
+            passing = run_cli(capsys, *argv, str(row - 1))
+            failing = run_cli(capsys, *argv, str(row))
+        assert passing[0] == 0 and passing[2] == ""
+        assert failing == (2, "", f"error: {refusal.value}\n")
+
+
+def test_convergent_rows_past_the_default_int_str_limit_match_reference():
+    cf = e_simple_cf()
+    with int_str_limit(0):
+        assert cli._convergent_rows(cf, 2200) == reference_convergent_rows(cf, 2200)
 
 
 def test_convergents_tanh_missing_xy_is_usage_error(capsys):
@@ -174,12 +226,23 @@ def test_digits_past_the_int_str_limit_match_mpmath(capsys):
         assert out.splitlines()[1] == f"guaranteed digits: {n}"
 
 
+def test_digits_with_an_integer_part_past_the_int_str_limit_match_mpmath(capsys):
+    # e^1500 has 652 integer digits.
+    with mpmath.workdps(700):
+        expected = mpmath.libmp.numeral(int(mpmath.floor(mpmath.exp(1500) * 10**5)), 10, 660)
+    with int_str_limit(640):
+        code, out, err = run_cli(capsys, "digits", "--expr", "exp", "--x", "1500", "--y", "1",
+                                 "--digits", "5")
+    assert code == 0, err
+    assert out.splitlines()[0] == f"{expected[:-5]}.{expected[-5:]}"
+
+
 def test_decimal_preview():
-    assert decimal_preview(F(0)) == "0"
-    assert decimal_preview(F(3), sig=5) == "3.0000"
-    assert decimal_preview(F(1, 1248), sig=6) == "0.000801282"
-    assert decimal_preview(F(-22, 7), sig=4) == "-3.142"
-    assert decimal_preview(F(12345), sig=3) == "12345"
+    assert decimal_preview(0, 1) == "0"
+    assert decimal_preview(3, 1, sig=5) == "3.0000"
+    assert decimal_preview(1, 1248, sig=6) == "0.000801282"
+    assert decimal_preview(-22, 7, sig=4) == "-3.142"
+    assert decimal_preview(12345, 1, sig=3) == "12345"
 
 
 # ------------------------------------------------------------ certify/verify
@@ -225,11 +288,43 @@ def test_certify_verify_round_trip(capsys, tmp_path):
 
 
 def test_json_round_trip_is_byte_identical(tmp_path):
-    for x, y in ((3, 2), (0, 5), (-14, 1), (1000001, 3)):
+    for x, y in ((3, 2), (0, 5), (-14, 1), (1000001, 3), (-(10**700) - 1, 7)):
         cert = certify_irrational(x, y)
         blob = certificate_to_json(cert)
         assert certificate_from_json(blob) == cert
         assert certificate_to_json(certificate_from_json(blob)) == blob
+
+
+def test_certificates_past_the_int_str_limit_round_trip(capsys, tmp_path):
+    # The tail index of tanh(x/1) is about x^2/2: 660 digits here.
+    x = 10**330 + 1
+    path = tmp_path / "cert.json"
+    with int_str_limit(640):
+        code, _, err = run_cli(capsys, "certify", "--x", str(x), "--y", "1", "--format", "json",
+                               "--out", str(path))
+        assert code == 0, err
+        blob = path.read_text()
+        for cert in (certificate_from_json(blob), certify_irrational(-x, 1)):
+            assert certificate_to_json(certificate_from_json(certificate_to_json(cert))) == (
+                certificate_to_json(cert)
+            )
+        code, text, err = run_cli(capsys, "certify", "--x", str(x), "--y", "1")
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert code == 0, err
+    cert = certify_irrational(x, 1)
+    assert certificate_from_json(blob) == cert
+    assert json.loads(blob)["tailIndex"] == str(cert.tail_index)
+    assert f"tail index: {cert.tail_index}\n" in text
+    assert out.startswith(f"certificate verified to depth {cert.checked_prefix_depth}: ")
+
+
+def test_long_malformed_integer_is_a_format_error(tmp_path):
+    payload = json.loads(certificate_to_json(certify_irrational(3, 2)))
+    for bad in ("1" * 700 + "x", "--" + "1" * 700, "-" + "1" * 5000 + " -1"):
+        payload["tailIndex"] = bad
+        with pytest.raises(CertificateFormatError, match="tailIndex is not an integer"):
+            certificate_from_json(json.dumps(payload))
 
 
 def test_verify_tampered_file_exits_one(capsys, tmp_path):

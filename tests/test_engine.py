@@ -8,9 +8,10 @@ finite lists and the index of a non-positive term.
 """
 
 import time
+from decimal import Decimal
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cfrac import cli
@@ -42,6 +43,7 @@ from cfrac.expansions import (
 )
 
 from tests.oracles import (
+    decimal_preview as oracle_preview,
     reference_certified_digits,
     reference_convergent_rows,
     reference_evaluate,
@@ -196,11 +198,41 @@ def test_certified_digits_resume_stops_where_restarts_stop(expr, x, y, digits):
     assert got == outcome(reference_certified_digits, expr, x, y, digits)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 40), st.integers(1, 40), st.integers(1, 60))
-def test_convergent_rows_match_reference(x, y, depth):
+@st.composite
+def tables(draw):
+    """(x, y, depth): tanh(x/y) with x, y <= 60, often sharing a factor, so
+    that P_n > 1 and rows need reducing; x = 0 stands for e, to depth 600."""
+    g = draw(st.sampled_from([1, 1, 2, 3, 6, 12]))
+    x, y = (g * draw(st.integers(1, 60 // g)) for _ in range(2))
+    if draw(st.booleans()):
+        return 0, 1, draw(st.integers(1, 600))
+    return x, y, draw(st.integers(1, 300))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables())
+@example((0, 1, 600))
+@example((60, 1, 300))
+@example((2, 1, 3))  # gap 2/1 prints as "2"
+@example((2, 4, 80))
+@example((6, 35, 120))
+@example((12, 18, 120))
+@example((7, 3, 300))
+def test_convergent_rows_match_reference(table):
+    x, y, depth = table
     cf = tanh_integer_cf(x, y) if x else e_simple_cf()
     assert cli._convergent_rows(cf, depth) == reference_convergent_rows(cf, depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(10**40), 10**40),
+    st.integers(1, 10**40) | st.sampled_from([1, 3, 10, 10**7, 10**20]),
+    st.integers(1, 25),
+)
+def test_decimal_preview_matches_the_fraction_preview(h, k, sig):
+    assert cli.decimal_preview(h, k, sig) == oracle_preview(F(h, k), sig)
+    assert cli.decimal_preview(Decimal(h), Decimal(k), sig) == oracle_preview(F(h, k), sig)
 
 
 def test_exhausted_list_behind_a_scale_is_exact():

@@ -5,18 +5,21 @@ to stdout (or ``--out FILE``); diagnostics go to stderr.  Exit codes: 0 on
 success, 1 on domain errors (bad x/y, failed verification, digit cap), 2 on
 usage errors (unknown flags, missing arguments, malformed certificate files).
 
-Decimal rendering lives here and only here; the library underneath never
+Decimal rendering of results lives here; the library underneath never
 leaves exact rational arithmetic.  Digit strings are truncated, not rounded:
-truncated digits are certifiable directly from a two-sided bound, and an
-interval straddling a truncation boundary simply forces further refinement.
+truncated digits are certifiable directly from a two-sided bound.  Each
+refinement round of ``digits`` pins them from the value a/b and the bound
+c/(b d) of its enclosure, with one division a s // b at the scale s and three
+leading-bit product comparisons (``certified_digits``); an interval that
+straddles a truncation boundary simply forces the next round.
 
 str() of an int is quadratic in its length, and CPython refuses it past
 ``sys.get_int_max_str_digits()`` digits.  Digits and certificate integers are
-rendered and parsed in chunks below the smallest limit the interpreter
-accepts, so they print at any size.  Convergent tables are walked in base-10
-integers (``decimal.Decimal`` under an exact context), which print in linear
-time; a row that would print an integer past the interpreter's limit fails as
-str() of that integer would.
+rendered (``core._decimal``) and parsed in chunks below the smallest limit
+the interpreter accepts, so they print at any size.  Convergent tables are
+walked in base-10 integers (``decimal.Decimal`` under an exact context), which
+print in linear time; a row that would print an integer past the
+interpreter's limit fails as str() of that integer would.
 """
 
 from __future__ import annotations
@@ -38,13 +41,14 @@ from decimal import (
     localcontext,
 )
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import gcd
 from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .core import DEPTH_CAP, _Walk
+from .core import _CHUNK_DIGITS, DEPTH_CAP, _compare_products, _decimal, _Walk, _zero_padded
 from .errors import (
     CertificateFormatError,
     DepthCapError,
@@ -87,10 +91,6 @@ _EXACT = Context(
     prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, InvalidOperation, DivisionByZero]
 )
 
-#: The smallest int-str limit CPython accepts: no str() or int() call on a
-#: chunk of this many digits can hit the limit, whatever it is set to.
-_CHUNK_DIGITS = sys.int_info.str_digits_check_threshold
-
 
 @dataclass(frozen=True)
 class DigitString:
@@ -106,6 +106,16 @@ class DigitString:
         return f"{prefix}{self.integer_part}.{self.fractional_part}"
 
 
+@lru_cache(maxsize=32)
+def _preview_context(sig: int) -> Context:
+    """The context of ``decimal_preview`` at ``sig`` digits, built once per ``sig``.
+
+    Every call at that ``sig`` shares it; the divisions set its status
+    flags, which nothing reads.
+    """
+    return Context(prec=sig, rounding=ROUND_DOWN)
+
+
 def decimal_preview(h, k, sig: int = PREVIEW_DIGITS) -> str:
     """h/k truncated to ``sig`` significant digits.  Display only.
 
@@ -115,7 +125,7 @@ def decimal_preview(h, k, sig: int = PREVIEW_DIGITS) -> str:
     """
     if h == 0:
         return "0"
-    quotient = Context(prec=sig, rounding=ROUND_DOWN).divide(h, k)
+    quotient = _preview_context(sig).divide(h, k)
     places = sig - 1 - quotient.adjusted()
     if places < 0:
         with localcontext(_EXACT):
@@ -123,51 +133,54 @@ def decimal_preview(h, k, sig: int = PREVIEW_DIGITS) -> str:
     return f"{quotient:.{places}f}"
 
 
+def _pinned(a: int, b: int, c: int, d: int, scale: int) -> int | None:
+    """floor(v scale), shared by every v within c/(b d) of a/b, if positive and shared.
+
+    b, d > 0 and c >= 0.  With q, r = divmod(a scale, b), u = r/b in [0, 1)
+    and e = c scale/(b d) >= 0, the interval scaled by ``scale`` is q + u -+ e,
+    so its ends have one floor iff floor(u - e) == floor(u + e).  That holds
+    iff both are 0: u + e >= 0 keeps the upper floor at 0 or more, and
+    u - e <= u < 1 keeps the lower one at 0 or less.  So the floor is q
+    exactly when the lower end is positive (a d > c), u >= e (r d >= c scale)
+    and u + e < 1 ((b - r) d > c scale), and None otherwise.  The three tests
+    are leading-bit comparisons (``_compare_products``); a scale // b is the
+    one full-size operation, and its quotient has about as many digits as
+    the output.
+    """
+    q, r = divmod(a * scale, b)
+    if (
+        _compare_products((a, d), (c,)) > 0
+        and _compare_products((r, d), (c, scale)) >= 0
+        and _compare_products((b - r, d), (c, scale)) > 0
+    ):
+        return q
+    return None
+
+
 def certified_digits(expr: str, x: int, y: int, digits: int) -> tuple[DigitString, int]:
     """Truncated decimal digits of e^(x/y) or tanh(x/y), all guaranteed.
 
     The evaluation tolerance starts at 10^-(digits+2) and is divided by 10^4
     until the certified interval [value - bound, value + bound] truncates to
-    a single digit string, so every emitted digit is a correct digit of the
-    true value.  One walk of the expansion is resumed across these rounds,
-    and each round stops at the depth a fresh evaluation at its tolerance
-    would.  The rounds end: tanh(x/y) and e^(x/y) are irrational for
-    rational x/y != 0 (``irrationality``), so the value never sits on a
-    truncation boundary, and the bound shrinks to 0; e^0 = 1 is exact.
-    DEPTH_CAP terms bound the walk.  Returns the digit string and the
-    expansion depth that pinned it.
+    a single digit string (``_pinned``), so every emitted digit is a correct
+    digit of the true value.  One walk of the expansion is resumed across
+    these rounds, and each round stops at the depth a fresh evaluation at
+    its tolerance would.  The rounds end: tanh(x/y) and e^(x/y) are
+    irrational for rational x/y != 0 (``irrationality``), so the value never
+    sits on a truncation boundary, and the bound shrinks to 0; e^0 = 1 is
+    exact.  DEPTH_CAP terms bound the walk.  Returns the digit string and
+    the expansion depth that pinned it.
     """
     if not 1 <= digits <= MAX_DIGITS:
         raise DomainError(f"digits must be between 1 and {MAX_DIGITS}")
     scale = 10**digits
     tolerances = (Fraction(1, 10 ** (digits + 2 + 4 * r)) for r in count())
-    for lo, hi, den, depth in certified_enclosures(expr, x, y, tolerances):
-        if lo > 0:
-            n_lo = lo * scale // den
-            if n_lo == hi * scale // den:
-                whole, fraction = divmod(n_lo, scale)
-                integer_part, fractional_part = _decimal(whole), _zero_padded(fraction, digits)
-                return DigitString("+", integer_part, fractional_part, digits), depth
-
-
-def _zero_padded(n: int, width: int) -> str:
-    """0 <= n < 10^width as exactly ``width`` decimal digits.
-
-    Splits on powers of ten, so no str() call sees more than ``_CHUNK_DIGITS``
-    digits and the interpreter's int-str limit never applies.
-    """
-    if width <= _CHUNK_DIGITS:
-        return str(n).rjust(width, "0")
-    high, low = divmod(n, 10 ** (width // 2))
-    return _zero_padded(high, width - width // 2) + _zero_padded(low, width // 2)
-
-
-def _decimal(n: int) -> str:
-    """str(n) at any size, through ``_zero_padded``."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    # n < 2^bits <= 10^(bits // 3 + 1), as log10(2) < 1/3
-    return _zero_padded(n, n.bit_length() // 3 + 1).lstrip("0") or "0"
+    for a, b, c, d, depth in certified_enclosures(expr, x, y, tolerances):
+        pinned = _pinned(a, b, c, d, scale)
+        if pinned is not None:
+            whole, fraction = divmod(pinned, scale)
+            integer_part, fractional_part = _decimal(whole), _zero_padded(fraction, digits)
+            return DigitString("+", integer_part, fractional_part, digits), depth
 
 
 def _integer(text: str) -> int:

@@ -30,7 +30,12 @@ integers under an exact context, which print in linear time.
 Stopping tests cross-multiply: gap <= p/q is P_n q <= p k_n k_{n-1}.  A
 bit-length test may reject a step before multiplying; bit lengths fix a
 product only within a factor of two, so that test is a necessary condition
-for passing, never a sufficient one.  Fractions are built only for results.
+for passing, never a sufficient one.  A step it lets through is decided by
+``_compare_products``, a filtered exact comparison: the leading 64 bits of
+each factor bracket each product, and only brackets that overlap are
+multiplied out.  Either way the answer is that of the exact comparison, so
+no depth depends on the filter.  Fractions are built only for results;
+``_decimal`` prints an int of any size, past the interpreter's int-str limit.
 A walk resumes where it stopped and re-tests that state first, so a smaller
 tolerance stops at the depth a fresh walk would.  ``ConvergentState`` is the
 unscaled step in rationals, the reference for the determinant identity.
@@ -41,9 +46,11 @@ walk belongs to the one evaluation that made it.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from math import prod
 from typing import Callable, Union
 
 from .errors import (
@@ -245,6 +252,89 @@ def _integer_terms(cf: ContinuedFraction):
             c_prev = a.denominator * b.denominator
 
 
+#: Leading bits kept of each factor by ``_compare_products``.
+_LEAD_BITS = 64
+
+
+def _bracket(factors) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= prod(factors) <= hi 2^e, from leading bits.
+
+    A factor of l > _LEAD_BITS bits, shifted right by s = l - _LEAD_BITS,
+    lies in [f 2^s, (f + 1) 2^s]; shorter factors are kept exactly.
+    """
+    lo = hi = 1
+    e = 0
+    for x in factors:
+        s = x.bit_length() - _LEAD_BITS
+        if s > 0:
+            x >>= s
+            lo, hi, e = lo * x, hi * (x + 1), e + s
+        else:
+            lo, hi = lo * x, hi * x
+    return lo, hi, e
+
+
+def _below(a: int, ea: int, b: int, eb: int) -> bool:
+    """a 2^ea < b 2^eb for a, b >= 0, without shifting by more than their lengths differ."""
+    if not a or not b:
+        return a < b
+    la, lb = a.bit_length() + ea, b.bit_length() + eb
+    if la != lb:
+        return la < lb
+    e = min(ea, eb)
+    return a << (ea - e) < b << (eb - e)
+
+
+def _exact_compare(xs, ys) -> int:
+    """-1, 0 or 1 as prod(xs) is below, equal to or above prod(ys), multiplied out."""
+    x, y = prod(xs), prod(ys)
+    return (x > y) - (x < y)
+
+
+def _compare_products(xs, ys) -> int:
+    """-1, 0 or 1 as prod(xs) is below, equal to or above prod(ys); factors >= 0.
+
+    The leading bits of the factors bracket each product (``_bracket``); two
+    disjoint brackets decide, and only overlapping ones, such as equal
+    products, are multiplied out (``_exact_compare``).  The answer is always
+    the exact one.  A filtered predicate in the sense of Shewchuk, "Adaptive
+    Precision Floating-Point Arithmetic and Fast Robust Geometric
+    Predicates", 1997.
+    """
+    x_lo, x_hi, ex = _bracket(xs)
+    y_lo, y_hi, ey = _bracket(ys)
+    if _below(x_hi, ex, y_lo, ey):
+        return -1
+    if _below(y_hi, ey, x_lo, ex):
+        return 1
+    return _exact_compare(xs, ys)
+
+
+#: The smallest int-str limit CPython accepts: no str() or int() call on a
+#: chunk of this many digits can hit the limit, whatever it is set to.
+_CHUNK_DIGITS = sys.int_info.str_digits_check_threshold
+
+
+def _zero_padded(n: int, width: int) -> str:
+    """0 <= n < 10^width as exactly ``width`` decimal digits.
+
+    Splits on powers of ten, so no str() call sees more than ``_CHUNK_DIGITS``
+    digits and the interpreter's int-str limit never applies.
+    """
+    if width <= _CHUNK_DIGITS:
+        return str(n).rjust(width, "0")
+    high, low = divmod(n, 10 ** (width // 2))
+    return _zero_padded(high, width - width // 2) + _zero_padded(low, width // 2)
+
+
+def _decimal(n: int) -> str:
+    """str(n) at any size, through ``_zero_padded``."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    # n < 2^bits <= 10^(bits // 3 + 1), as log10(2) < 1/3
+    return _zero_padded(n, n.bit_length() // 3 + 1).lstrip("0") or "0"
+
+
 class _Walk:
     """The integer engine: a resumable walk of the recurrence over ``_integer_terms(cf)``.
 
@@ -295,7 +385,7 @@ class _GapBound:
 
     ``stop(tol)`` is a stop test for ``_Walk.run`` that keeps in ``last`` the
     deepest state it has seen with a bound; ``_parts(state)`` = (a, b, c, d)
-    gives that state's value a/b and bound c/(b d).
+    gives that state's value a/b and bound c/(b d), with b, d > 0 and c >= 0.
     """
 
     last = None
@@ -314,7 +404,7 @@ class _GapBound:
             _, _, _, k_prev, k, p = state
             return (
                 p.bit_length() - k.bit_length() - k_prev.bit_length() <= slack
-                and p * q_tol <= p_tol * k * k_prev
+                and _compare_products((p, q_tol), (p_tol, k, k_prev)) <= 0
             )
 
         return stop
@@ -335,11 +425,6 @@ class _GapBound:
             return None
         a, b, c, d = self._parts(self.last)
         return ApproximationResult(Fraction(a, b), Fraction(c, b * d), self.last[0])
-
-    def interval(self) -> tuple[int, int, int]:
-        """(lo, hi, den): the limit lies in [lo/den, hi/den]."""
-        a, b, c, d = self._parts(self.last)
-        return a * d - c, a * d + c, b * d
 
 
 def terms(cf: ContinuedFraction, count: int) -> list[Term]:

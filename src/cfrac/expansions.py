@@ -29,6 +29,7 @@ from .core import (
     ContinuedFraction,
     EPatternRule,
     _GapBound,
+    _compare_products,
     equivalence_transform,
     evaluate,
 )
@@ -106,7 +107,8 @@ class _ExpBound(_GapBound):
         # bound <= p/q is 2 P k q <= p m (m k' - P).  As 0 < m k' - P < m k',
         # bl(2 P k q) >= bl(P) + bl(k) + bl(q) - 1 and the right-hand side has
         # at most bl(p) + 2 bl(m) + bl(k') bits, a state past ``slack`` fails
-        # it.  Likewise P >= u k' needs bl(P) >= bl(u) + bl(k') - 1.
+        # it.  Likewise P >= u k' needs bl(P) >= bl(u) + bl(k') - 1.  States
+        # that pass a bit-length test are decided by ``_compare_products``.
         p_tol, q_tol = tol.numerator, tol.denominator
         slack = p_tol.bit_length() - q_tol.bit_length() + 1
         negative = self.negative
@@ -116,7 +118,7 @@ class _ExpBound(_GapBound):
             u = k - h
             if u <= 0 or (
                 p.bit_length() >= u.bit_length() + k_prev.bit_length() - 1
-                and p >= u * k_prev
+                and _compare_products((p,), (u, k_prev)) >= 0
             ):
                 return False
             self.last = state
@@ -124,7 +126,7 @@ class _ExpBound(_GapBound):
             return (
                 p.bit_length() + k.bit_length() - 2 * m.bit_length() - k_prev.bit_length()
                 <= slack
-                and 2 * p * k * q_tol <= p_tol * m * (m * k_prev - p)
+                and _compare_products((2, p, k, q_tol), (p_tol, m, m * k_prev - p)) <= 0
             )
 
         return stop
@@ -174,22 +176,22 @@ def exp_rational(
 def certified_enclosures(expr: str, x: int, y: int, tolerances):
     """Enclosures of exp(x/y) or tanh(x/y), one per tolerance, from one walk.
 
-    ``tolerances`` must not increase.  For each this yields (lo, hi, den,
-    depth): [lo/den, hi/den] is value -+ bound at the depth exp_rational or
-    tanh_rational reports for that tolerance.  The walk
-    resumes from there for the next tolerance: every depth before it had a
-    bound above the last tolerance.  Arguments are checked as there;
-    DepthCapError comes after DEPTH_CAP terms in all.
+    ``tolerances`` must not increase.  For each this yields (a, b, c, d,
+    depth): the value a/b and the bound c/(b d), with b, d > 0 and c >= 0,
+    that exp_rational or tanh_rational reports for that tolerance, and its
+    depth.  The walk resumes from there for the next tolerance: every depth
+    before it had a bound above the last tolerance.  Arguments are checked
+    as there; DepthCapError comes after DEPTH_CAP terms in all.
     """
     if expr == "exp":
         if y < 1:
             raise DomainError("y must be a positive integer")
         if x == 0:
-            yield from ((1, 1, 1, 0) for _ in tolerances)
+            yield from ((1, 1, 0, 1, 0) for _ in tolerances)
             return
         bound = _ExpBound(x, y)
     else:
         bound = _GapBound(_reduced_tanh_cf(x, y))
     for tol in tolerances:
         bound.refine(tol, DEPTH_CAP)
-        yield (*bound.interval(), bound.last[0])
+        yield (*bound._parts(bound.last), bound.last[0])

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import gcd
 
-from .core import DEPTH_CAP, ClosedFormRule, ContinuedFraction
+from .core import DEPTH_CAP, ClosedFormRule, ContinuedFraction, _decimal
 from .errors import DomainError, InvalidTermError, TailUnreachableError
 from .expansions import tanh_integer_cf
 
@@ -205,6 +205,11 @@ def certify_irrational(x: int, y: int) -> IrrationalityCertificate:
     )
 
 
+def _field_text(value: int | str) -> str:
+    """repr() of a certificate field, with ints at any size (``_decimal``)."""
+    return _decimal(value) if isinstance(value, int) else repr(value)
+
+
 def verify_certificate(
     cert: IrrationalityCertificate,
     depth: int | None = None,
@@ -241,9 +246,10 @@ def verify_certificate(
         got = getattr(cert, field.name)
         want = getattr(expected, field.name)
         if got != want:
+            got, want = _field_text(got), _field_text(want)
             return VerificationOutcome(
                 False,
-                reason=f"{field.name} does not recompute: stored {got!r}, derived {want!r}",
+                reason=f"{field.name} does not recompute: stored {got}, derived {want}",
             )
 
     if depth is None or cert.verdict == VERDICT_NOT_APPLICABLE:

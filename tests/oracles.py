@@ -10,7 +10,9 @@ The ``reference_*`` functions are the Fraction loops that the integer engine
 replaced, kept verbatim as the reference its views must match field by
 field.  They step ``ConvergentState``, the unscaled reference step.
 ``decimal_preview`` is the Fraction preview that the table rows used before
-they were walked in base 10, also kept verbatim.  The
+they were walked in base 10, also kept verbatim.  ``reference_pinned`` is the
+rule by which ``cli.certified_digits`` pinned digits from the endpoints
+[lo/den, hi/den] before it pinned them from the parts of the enclosure.  The
 ``reference_*`` certificate functions are the term scans that the
 closed-form checks of ``cfrac.irrationality`` replaced, also kept verbatim;
 ``closed_form_tail_index`` is the tail index in plain integer arithmetic.
@@ -235,6 +237,19 @@ def reference_certified_digits(expr, x, y, digits):
                 return f"{integer_part}.{fractional_part}", result.depth
         tol /= 10**4
     raise DomainError(f"could not pin {digits} digits for {expr}({x}/{y})")
+
+
+def reference_pinned(a, b, c, d, scale):
+    """floor(lo scale / den) if it equals floor(hi scale / den) and lo > 0, else None.
+
+    [lo/den, hi/den] = a/b -+ c/(b d) is the enclosure in endpoint form.
+    """
+    lo, hi, den = a * d - c, a * d + c, b * d
+    if lo > 0:
+        n_lo = lo * scale // den
+        if n_lo == hi * scale // den:
+            return n_lo
+    return None
 
 
 def decimal_preview(q: Fraction, sig: int = PREVIEW_DIGITS) -> str:

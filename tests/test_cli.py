@@ -338,6 +338,26 @@ def test_verify_tampered_file_exits_one(capsys, tmp_path):
     assert "verification failed" in err
 
 
+def test_verify_tampered_file_past_the_int_str_limit_exits_one(capsys, tmp_path):
+    # The tail index of tanh(x/1) is about x^2/2: 700 digits here.  The
+    # failure reason prints it, so it must not go through repr().
+    x = 10**350 + 1
+    path = tmp_path / "cert.json"
+    with int_str_limit(640):
+        code, _, err = run_cli(capsys, "certify", "--x", str(x), "--y", "1", "--format", "json",
+                               "--out", str(path))
+        assert code == 0, err
+        payload = json.loads(path.read_text())
+        stored = payload["tailIndex"]
+        assert len(stored) > 640
+        payload["tailIndex"] = "9" + stored[1:]
+        path.write_text(json.dumps(payload))
+        code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == 1, err
+    reason = f"tail_index does not recompute: stored 9{stored[1:]}, derived {stored}"
+    assert err.startswith(f"verification failed: {reason}\n")
+
+
 def test_verify_malformed_json_exits_two(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

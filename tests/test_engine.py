@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cfrac import cli
+from cfrac import cli, core
 from cfrac.core import (
     DEPTH_CAP,
     ClosedFormRule,
@@ -182,10 +182,11 @@ def test_enclosures_resume_where_a_fresh_evaluation_stops(expr, x, y, exponents)
     reference = reference_exp_rational if expr == "exp" else reference_tanh_rational
     tolerances = [F(1, 10**k) for k in sorted(exponents)]
     enclosures = certified_enclosures(expr, x, y, tolerances)
-    for tol, (lo, hi, den, depth) in zip(tolerances, enclosures, strict=True):
+    for tol, (a, b, c, d, depth) in zip(tolerances, enclosures, strict=True):
         want = reference(x, y, tol)
         assert depth == want.depth
-        assert (F(lo, den), F(hi, den)) == (
+        assert b > 0 and c >= 0 and d > 0
+        assert (F(a, b) - F(c, b * d), F(a, b) + F(c, b * d)) == (
             want.value - want.error_bound,
             want.value + want.error_bound,
         )
@@ -251,6 +252,23 @@ def test_digits_tanh_of_one_thousand_pins_ten_digits(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.splitlines()[0] == "0.9999999999"
+    assert out.splitlines()[2] == "expansion depth: 1510"
+
+
+def test_digits_tanh_of_one_thousand_rarely_multiplies_out(monkeypatch):
+    # Its 215 refinement rounds make about a thousand product comparisons;
+    # the leading bits should decide nearly all of them.
+    fallbacks = []
+    exact = core._exact_compare
+
+    def counted(xs, ys):
+        fallbacks.append((xs, ys))
+        return exact(xs, ys)
+
+    monkeypatch.setattr(core, "_exact_compare", counted)
+    digit_string, depth = cli.certified_digits("tanh", 1000, 1, 10)
+    assert (digit_string.render(), depth) == ("0.9999999999", 1510)
+    assert len(fallbacks) <= 5
 
 
 def test_certified_digits_of_e_keep_their_depth():

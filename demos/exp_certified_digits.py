@@ -25,9 +25,9 @@ def main():
     print()
 
     for expr, x, y, digits in (("exp", 1, 1, 40), ("exp", -1, 2, 25), ("tanh", 1, 1, 25)):
-        digit_string, depth = certified_digits(expr, x, y, digits)
+        integer_part, fractional_part, depth = certified_digits(expr, x, y, digits)
         name = f"{expr}({x}/{y})"
-        print(f"{name:>10} to {digits} digits (depth {depth}): {digit_string.render()}")
+        print(f"{name:>10} to {digits} digits (depth {depth}): {integer_part}.{fractional_part}")
     print()
     print("every printed digit is a correct truncated digit of the true value")
 

@@ -14,7 +14,6 @@ from .core import (
     ApproximationResult,
     ClosedFormRule,
     ContinuedFraction,
-    ConvergentState,
     EPatternRule,
     ExplicitListRule,
     ScaledRule,
@@ -45,7 +44,6 @@ from .irrationality import (
     VERDICT_IRRATIONAL,
     VERDICT_NOT_APPLICABLE,
     IrrationalityCertificate,
-    TailArgument,
     VerificationOutcome,
     certify_irrational,
     legendre_tail_index,
@@ -58,7 +56,6 @@ __all__ = [
     "CertificateFormatError",
     "ClosedFormRule",
     "ContinuedFraction",
-    "ConvergentState",
     "DepthCapError",
     "DomainError",
     "EPatternRule",
@@ -68,7 +65,6 @@ __all__ = [
     "IrrationalityCertificate",
     "NonPositiveTermError",
     "ScaledRule",
-    "TailArgument",
     "TailUnreachableError",
     "Term",
     "VERDICT_IRRATIONAL",

@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -48,7 +47,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .core import _CHUNK_DIGITS, DEPTH_CAP, _compare_products, _decimal, _Walk, _zero_padded
+from .core import _CHUNK_DIGITS, DEPTH_CAP, _compare_products, _decimal, _Walk
 from .errors import (
     CertificateFormatError,
     DepthCapError,
@@ -90,20 +89,6 @@ PREVIEW_DIGITS = 20
 _EXACT = Context(
     prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, InvalidOperation, DivisionByZero]
 )
-
-
-@dataclass(frozen=True)
-class DigitString:
-    """A truncated decimal rendering whose digits are all certified correct."""
-
-    sign: str
-    integer_part: str
-    fractional_part: str
-    guaranteed_digits: int
-
-    def render(self) -> str:
-        prefix = "-" if self.sign == "-" else ""
-        return f"{prefix}{self.integer_part}.{self.fractional_part}"
 
 
 @lru_cache(maxsize=32)
@@ -157,7 +142,7 @@ def _pinned(a: int, b: int, c: int, d: int, scale: int) -> int | None:
     return None
 
 
-def certified_digits(expr: str, x: int, y: int, digits: int) -> tuple[DigitString, int]:
+def certified_digits(expr: str, x: int, y: int, digits: int) -> tuple[str, str, int]:
     """Truncated decimal digits of e^(x/y) or tanh(x/y), all guaranteed.
 
     The evaluation tolerance starts at 10^-(digits+2) and is divided by 10^4
@@ -168,8 +153,8 @@ def certified_digits(expr: str, x: int, y: int, digits: int) -> tuple[DigitStrin
     its tolerance would.  The rounds end: tanh(x/y) and e^(x/y) are
     irrational for rational x/y != 0 (``irrationality``), so the value never
     sits on a truncation boundary, and the bound shrinks to 0; e^0 = 1 is
-    exact.  DEPTH_CAP terms bound the walk.  Returns the digit string and
-    the expansion depth that pinned it.
+    exact.  DEPTH_CAP terms bound the walk.  Returns the integer part, the
+    ``digits`` fractional digits and the expansion depth that pinned them.
     """
     if not 1 <= digits <= MAX_DIGITS:
         raise DomainError(f"digits must be between 1 and {MAX_DIGITS}")
@@ -178,20 +163,16 @@ def certified_digits(expr: str, x: int, y: int, digits: int) -> tuple[DigitStrin
     for a, b, c, d, depth in certified_enclosures(expr, x, y, tolerances):
         pinned = _pinned(a, b, c, d, scale)
         if pinned is not None:
-            whole, fraction = divmod(pinned, scale)
-            integer_part, fractional_part = _decimal(whole), _zero_padded(fraction, digits)
-            return DigitString("+", integer_part, fractional_part, digits), depth
+            text = _decimal(pinned).rjust(digits + 1, "0")
+            return text[:-digits], text[-digits:], depth
 
 
-def _integer(text: str) -> int:
-    """int(text) at any size: a long run of ASCII digits is parsed in halves."""
-    negative = text.startswith("-")
-    digits = text[1:] if negative else text
-    if len(digits) <= _CHUNK_DIGITS or not (digits.isascii() and digits.isdigit()):
-        return int(text)
+def _integer(digits: str) -> int:
+    """int(digits) for a run of ASCII digits of any length, parsed in halves."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
     low = len(digits) // 2
-    value = _integer(digits[:-low]) * 10**low + _integer(digits[-low:])
-    return -value if negative else value
+    return _integer(digits[:-low]) * 10**low + _integer(digits[-low:])
 
 
 def _json(payload: dict) -> str:
@@ -219,13 +200,15 @@ def certificate_from_json(text: str) -> IrrationalityCertificate:
         raise CertificateFormatError(f"unknown fields: {sorted(unknown)}")
 
     def _int(key: str) -> int:
+        # Only what ``_decimal`` writes: 0, or an optional "-" and ASCII
+        # digits without a leading zero.
         value = payload[key]
         if not isinstance(value, str):
             raise CertificateFormatError(f"{key} must be a decimal string")
-        try:
-            return _integer(value)
-        except ValueError as exc:
-            raise CertificateFormatError(f"{key} is not an integer: {value!r}") from exc
+        digits = value.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()) or (digits[0] == "0" and value != "0"):
+            raise CertificateFormatError(f"{key} is not an integer: {value!r}")
+        return -_integer(digits) if value.startswith("-") else _integer(digits)
 
     verdict = payload["verdict"]
     if verdict not in (VERDICT_IRRATIONAL, VERDICT_NOT_APPLICABLE):
@@ -344,16 +327,16 @@ def cmd_convergents(args) -> int:
 
 
 def cmd_digits(args) -> int:
-    digit_string, depth = certified_digits(args.expr, args.x, args.y, args.digits)
+    integer_part, fractional_part, depth = certified_digits(args.expr, args.x, args.y, args.digits)
     payload = {
         "expr": args.expr,
         "x": str(args.x),
         "y": str(args.y),
-        "value": digit_string.render(),
-        "sign": digit_string.sign,
-        "integerPart": digit_string.integer_part,
-        "fractionalPart": digit_string.fractional_part,
-        "guaranteedDigits": digit_string.guaranteed_digits,
+        "value": f"{integer_part}.{fractional_part}",
+        "sign": "+",
+        "integerPart": integer_part,
+        "fractionalPart": fractional_part,
+        "guaranteedDigits": args.digits,
         "cfDepth": depth,
     }
     text = "{value}\nguaranteed digits: {guaranteedDigits}\nexpansion depth: {cfDepth}\n"

@@ -37,8 +37,7 @@ multiplied out.  Either way the answer is that of the exact comparison, so
 no depth depends on the filter.  Fractions are built only for results;
 ``_decimal`` prints an int of any size, past the interpreter's int-str limit.
 A walk resumes where it stopped and re-tests that state first, so a smaller
-tolerance stops at the depth a fresh walk would.  ``ConvergentState`` is the
-unscaled step in rationals, the reference for the determinant identity.
+tolerance stops at the depth a fresh walk would.
 
 Expansions are immutable values, safe to share and evaluate concurrently; a
 walk belongs to the one evaluation that made it.
@@ -178,44 +177,6 @@ class ContinuedFraction:
 
     def term(self, i: int) -> Term:
         return self.rule.term(i)
-
-
-@dataclass(frozen=True)
-class ConvergentState:
-    """Rolling state (h_{n-1}, h_n, k_{n-1}, k_n) of the fundamental recurrence.
-
-    The unscaled reference step in exact rationals; the evaluators run the
-    integer engine ``_Walk`` instead.  For expansions with positive terms k_n
-    stays nonzero at every depth, so ``value`` is always defined there.
-    """
-
-    index: int
-    h_prev: Fraction
-    h_curr: Fraction
-    k_prev: Fraction
-    k_curr: Fraction
-
-    @classmethod
-    def initial(cls, leading: Fraction) -> "ConvergentState":
-        return cls(0, Fraction(1), Fraction(leading), Fraction(0), Fraction(1))
-
-    def step(self, term: Term) -> "ConvergentState":
-        return ConvergentState(
-            self.index + 1,
-            self.h_curr,
-            term.a * self.h_curr + term.b * self.h_prev,
-            self.k_curr,
-            term.a * self.k_curr + term.b * self.k_prev,
-        )
-
-    @property
-    def value(self) -> Fraction:
-        return self.h_curr / self.k_curr
-
-    @property
-    def determinant(self) -> Fraction:
-        """D_n = h_n k_{n-1} - h_{n-1} k_n; satisfies D_n = -b_n D_{n-1}, D_0 = -1."""
-        return self.h_curr * self.k_prev - self.h_prev * self.k_curr
 
 
 @dataclass(frozen=True)

@@ -53,27 +53,14 @@ SCAN_MARGIN = 10
 
 
 @dataclass(frozen=True)
-class TailArgument:
-    """The closed-form inequality behind a certificate.
-
-    a_slope*i + a_intercept > b_constant holds for every i >= threshold_index,
-    and fails at threshold_index - 1 whenever that index is >= 2.
-    """
-
-    a_slope: int
-    a_intercept: int
-    b_constant: int
-    threshold_index: int
-
-
-@dataclass(frozen=True)
 class IrrationalityCertificate:
     """Evidence that tanh(rx/ry) and e^(rx/ry) are irrational.
 
     (reduced_x, reduced_y) is the gcd-reduced pair (|x|, y) actually expanded;
     tail_index is the smallest n with a_i > b_i for all i > n;
     threshold_index = tail_index + 1 is where the closed-form inequality
-    starts holding permanently; checked_prefix_depth = tail_index +
+    a_i = (2i-1) reduced_y > reduced_x^2 = b_i starts holding permanently
+    (verdict CertifiedIrrational); checked_prefix_depth = tail_index +
     CHECKED_PREFIX_MARGIN: every term up to here satisfies the hypothesis,
     proved in closed form and cross-checked explicitly on the head and
     threshold windows.
@@ -87,17 +74,6 @@ class IrrationalityCertificate:
     checked_prefix_depth: int
     threshold_index: int
     verdict: str
-
-    def tail_argument(self) -> TailArgument | None:
-        """The inequality record (2i-1)*ry > rx^2, or None when not applicable."""
-        if self.verdict != VERDICT_IRRATIONAL:
-            return None
-        return TailArgument(
-            a_slope=2 * self.reduced_y,
-            a_intercept=-self.reduced_y,
-            b_constant=self.reduced_x * self.reduced_x,
-            threshold_index=self.threshold_index,
-        )
 
     def statement(self) -> str:
         """Human-readable claim covered by this certificate."""

@@ -8,7 +8,9 @@ intervals: the true value always lies inside [lo, hi].
 
 The ``reference_*`` functions are the Fraction loops that the integer engine
 replaced, kept verbatim as the reference its views must match field by
-field.  They step ``ConvergentState``, the unscaled reference step.
+field.  They step ``ConvergentState``, the unscaled reference step in exact
+rationals, which lives here since the engine stopped using it: in ``src``
+only ``core._Walk.run`` steps the recurrence.
 ``decimal_preview`` is the Fraction preview that the table rows used before
 they were walked in base 10, also kept verbatim.  ``reference_pinned`` is the
 rule by which ``cli.certified_digits`` pinned digits from the endpoints
@@ -20,12 +22,12 @@ closed-form checks of ``cfrac.irrationality`` replaced, also kept verbatim;
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import floor, gcd
 
 from cfrac.cli import MAX_DIGITS, PREVIEW_DIGITS
-from cfrac.core import DEPTH_CAP, ApproximationResult, ClosedFormRule, ConvergentState
+from cfrac.core import DEPTH_CAP, ApproximationResult, ClosedFormRule, Term
 from cfrac.errors import (
     DepthCapError,
     DomainError,
@@ -134,6 +136,44 @@ def brute_force_tail_index(cf, window: int = 200) -> int:
         ):
             return n
         n += 1
+
+
+@dataclass(frozen=True)
+class ConvergentState:
+    """Rolling state (h_{n-1}, h_n, k_{n-1}, k_n) of the fundamental recurrence.
+
+    The unscaled reference step in exact rationals.  For expansions with
+    positive terms k_n stays nonzero at every depth, so ``value`` is always
+    defined there.
+    """
+
+    index: int
+    h_prev: Fraction
+    h_curr: Fraction
+    k_prev: Fraction
+    k_curr: Fraction
+
+    @classmethod
+    def initial(cls, leading: Fraction) -> "ConvergentState":
+        return cls(0, Fraction(1), Fraction(leading), Fraction(0), Fraction(1))
+
+    def step(self, term: Term) -> "ConvergentState":
+        return ConvergentState(
+            self.index + 1,
+            self.h_curr,
+            term.a * self.h_curr + term.b * self.h_prev,
+            self.k_curr,
+            term.a * self.k_curr + term.b * self.k_prev,
+        )
+
+    @property
+    def value(self) -> Fraction:
+        return self.h_curr / self.k_curr
+
+    @property
+    def determinant(self) -> Fraction:
+        """D_n = h_n k_{n-1} - h_{n-1} k_n; satisfies D_n = -b_n D_{n-1}, D_0 = -1."""
+        return self.h_curr * self.k_prev - self.h_prev * self.k_curr
 
 
 def reference_evaluate(cf, tol, max_depth=DEPTH_CAP):

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from cfrac import cli
-from cfrac.core import ContinuedFraction, ConvergentState, ExplicitListRule, Term, convergents
+from cfrac.core import ContinuedFraction, ExplicitListRule, Term, convergents
 from cfrac.expansions import (
     e_simple_cf,
     exp_rational,
@@ -27,6 +27,7 @@ from cfrac.expansions import (
 from cfrac.irrationality import certify_irrational, verify_certificate
 
 from tests.oracles import (
+    ConvergentState,
     bottom_up_value,
     brute_force_tail_index,
     enclosure_digits,

@@ -119,6 +119,11 @@ def test_convergent_rows_past_the_default_int_str_limit_match_reference():
         assert cli._convergent_rows(cf, 2200) == reference_convergent_rows(cf, 2200)
 
 
+def test_convergents_depth_zero_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "convergents", "--expansion", "e", "--depth", "0")
+    assert (code, out, err) == (1, "", "error: depth must be >= 1\n")
+
+
 def test_convergents_tanh_missing_xy_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "convergents", "--expansion", "tanh", "--depth", "3")
     assert code == 2
@@ -207,10 +212,12 @@ def test_digits_bad_y(capsys):
 def test_digit_correctness_against_oracle_grid():
     for x in range(1, 6):
         for y in range(1, 6):
-            digit_string, _ = certified_digits("exp", x, y, 25)
-            assert digit_string.render() == enclosure_digits(*exp_enclosure(F(x, y), 120), 25)
-            digit_string, _ = certified_digits("tanh", x, y, 25)
-            assert digit_string.render() == enclosure_digits(*tanh_enclosure(F(x, y), 120), 25)
+            integer_part, fractional_part, _ = certified_digits("exp", x, y, 25)
+            expected = enclosure_digits(*exp_enclosure(F(x, y), 120), 25)
+            assert f"{integer_part}.{fractional_part}" == expected
+            integer_part, fractional_part, _ = certified_digits("tanh", x, y, 25)
+            expected = enclosure_digits(*tanh_enclosure(F(x, y), 120), 25)
+            assert f"{integer_part}.{fractional_part}" == expected
 
 
 def test_digits_past_the_int_str_limit_match_mpmath(capsys):
@@ -373,6 +380,46 @@ def test_verify_off_schema_exits_two(capsys, tmp_path):
     path.write_text(json.dumps(payload))
     code, _, _ = run_cli(capsys, "verify", str(path))
     assert code == 2
+
+
+def verify_payload(capsys, tmp_path, payload):
+    """``verify`` of a file holding ``payload`` as JSON: (code, stdout, stderr)."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(payload))
+    return run_cli(capsys, "verify", str(path))
+
+
+def _with(key, value):
+    return lambda payload: {**payload, key: value}
+
+
+#: Only what certificate_to_json writes is read: 0, or an optional "-" and
+#: ASCII digits without a leading zero, even where int() reads the same x.
+NON_CANONICAL = (" 3", "3 ", "+3", "03", "-0", "-03", "\u0663", "3_0", "", "-")
+
+MALFORMED = {
+    "not-an-object": (list, "certificate must be a JSON object"),
+    "missing-field": (lambda payload: {k: v for k, v in payload.items() if k != "y"},
+                      "missing fields: ['y']"),
+    "integer-not-a-string": (_with("tailIndex", 2), "tailIndex must be a decimal string"),
+    "unknown-verdict": (_with("verdict", "CertifiedRational"),
+                        "unknown verdict: 'CertifiedRational'"),
+    "version-not-a-string": (_with("engineVersion", 1), "engineVersion must be a string"),
+    **{f"x={text!r}": (_with("x", text), f"x is not an integer: {text!r}") for text in NON_CANONICAL},
+}
+
+
+@pytest.mark.parametrize("edit,message", MALFORMED.values(), ids=MALFORMED)
+def test_verify_malformed_certificate_exits_two(capsys, tmp_path, edit, message):
+    payload = edit(json.loads(certificate_to_json(certify_irrational(3, 2))))
+    assert verify_payload(capsys, tmp_path, payload) == (2, "", f"error: {message}\n")
+
+
+def test_verify_stored_y_zero_exits_one(capsys, tmp_path):
+    payload = json.loads(certificate_to_json(certify_irrational(3, 2)))
+    payload["y"] = "0"
+    expected = (1, "", "verification failed: y must be a positive integer\n")
+    assert verify_payload(capsys, tmp_path, payload) == expected
 
 
 def test_verify_missing_file_exits_two(capsys, tmp_path):

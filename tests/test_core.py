@@ -7,7 +7,6 @@ from cfrac.core import (
     ApproximationResult,
     ClosedFormRule,
     ContinuedFraction,
-    ConvergentState,
     ExplicitListRule,
     ScaledRule,
     Term,
@@ -24,7 +23,7 @@ from cfrac.errors import (
 )
 from cfrac.expansions import e_simple_cf, gauss_tanh_cf, tanh_integer_cf
 
-from tests.oracles import bottom_up_value
+from tests.oracles import ConvergentState, bottom_up_value
 
 F = Fraction
 
@@ -179,6 +178,11 @@ def test_evaluate_rejects_nonpositive_tol():
         evaluate(e_simple_cf(), F(0))
 
 
+def test_evaluate_rejects_max_depth_below_one():
+    with pytest.raises(ValueError, match="max_depth must be >= 1"):
+        evaluate(e_simple_cf(), F(1, 10), max_depth=0)
+
+
 def test_identity_transform_folds_to_same_closed_form():
     cf = gauss_tanh_cf(F(2, 3))
     same = equivalence_transform(cf, F(1))
@@ -242,6 +246,15 @@ def test_transform_preserves_convergents_constant_scales():
             base = gauss_tanh_cf(F(x, y))
             scaled = equivalence_transform(base, F(y))
             assert convergents(base, 12) == convergents(scaled, 12)
+
+
+def test_constant_transform_on_pattern_rule_keeps_convergents():
+    # A constant scale on a rule that is not closed-form goes through ScaledRule.
+    cf = e_simple_cf()
+    scaled = equivalence_transform(cf, F(3, 2))
+    assert isinstance(scaled.rule, ScaledRule)
+    assert terms(scaled, 3) != terms(cf, 3)
+    assert convergents(scaled, 30) == convergents(cf, 30)
 
 
 def test_transform_preserves_convergents_per_index_scales():

@@ -60,6 +60,13 @@ def test_tail_index_rejects_flat_denominators():
         legendre_tail_index(flat)
 
 
+def test_tail_index_rejects_a_nonpositive_first_term():
+    # a_1 = 1 - 1 = 0
+    rule = ClosedFormRule(b_first=F(1), b_rest=F(1), a_slope=F(1), a_intercept=F(-1))
+    with pytest.raises(InvalidTermError, match="^expansion has a nonpositive term$"):
+        legendre_tail_index(ContinuedFraction(F(0), rule))
+
+
 def test_tail_index_rejects_pattern_rule():
     with pytest.raises(DomainError):
         legendre_tail_index(e_simple_cf())
@@ -79,7 +86,6 @@ def test_certify_zero_is_not_applicable():
     cert = certify_irrational(0, 5)
     assert cert.verdict == VERDICT_NOT_APPLICABLE
     assert cert.tail_index == 0 and cert.threshold_index == 0
-    assert cert.tail_argument() is None
     assert verify_certificate(cert)
 
 

@@ -35,5 +35,5 @@ def test_python_dash_m_cfrac_cli_prints_digits():
 def test_every_public_name_resolves():
     namespace = {}
     exec("from cfrac import *", namespace)
-    assert len(set(cfrac.__all__)) == len(cfrac.__all__) == 34
+    assert len(set(cfrac.__all__)) == len(cfrac.__all__) == 32
     assert all(name in namespace for name in cfrac.__all__)

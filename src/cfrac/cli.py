@@ -2,8 +2,10 @@
 
 Subcommands: ``convergents``, ``digits``, ``certify``, ``verify``.  Data goes
 to stdout (or ``--out FILE``); diagnostics go to stderr.  Exit codes: 0 on
-success, 1 on domain errors (bad x/y, failed verification, digit cap), 2 on
-usage errors (unknown flags, missing arguments, malformed certificate files).
+success; 1 on every refusal (a ``DomainError``: bad x/y, digit cap, depth
+over budget) and on failed verification; 2 on usage errors (unknown flags,
+missing arguments, malformed or unreadable certificate files).  ``run`` is
+the only code that turns a failure into an exit code and an ``error:`` line.
 
 Decimal rendering of results lives here; the library underneath never
 leaves exact rational arithmetic.  Digit strings are truncated, not rounded:
@@ -52,10 +54,6 @@ from .errors import (
     CertificateFormatError,
     DepthCapError,
     DomainError,
-    InvalidTermError,
-    NonPositiveTermError,
-    TailUnreachableError,
-    ZeroScaleError,
 )
 from .expansions import certified_enclosures, e_simple_cf, tanh_integer_cf
 from .irrationality import (
@@ -352,8 +350,7 @@ def cmd_verify(args) -> int:
     try:
         raw = Path(args.certificate).read_text(encoding="utf-8")
     except OSError as exc:
-        print(f"error: cannot read certificate: {exc}", file=sys.stderr)
-        return 2
+        raise CertificateFormatError(f"cannot read certificate: {exc}") from exc
     cert = certificate_from_json(raw)
     outcome = verify_certificate(cert, args.depth)
     if outcome:
@@ -409,29 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Dispatch a command line; returns the exit code instead of exiting."""
-    parser = build_parser()
+    """Dispatch a command line; returns the exit code instead of exiting.
+
+    The only code that turns a failure into an exit code.  argparse's own
+    exits keep their code.  A refusal (any ``DomainError``), a depth cap, a
+    division by zero or an I/O error prints ``error: <message>`` and exits 1;
+    any other ValueError, such as a malformed or unreadable certificate,
+    exits 2.
+    """
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except CertificateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        DomainError,
-        NonPositiveTermError,
-        InvalidTermError,
-        TailUnreachableError,
-        ZeroScaleError,
-        DepthCapError,
-        ZeroDivisionError,
-        OSError,
-    ) as exc:
+    except (DomainError, DepthCapError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

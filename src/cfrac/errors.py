@@ -1,11 +1,22 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+Every refusal is a ``DomainError``: an argument outside the domain of the
+operation (x/y, a digit count, a depth), a zero scale factor, a term that is
+not positive where the error bound needs it, or a term stream that breaks
+the hypothesis of Legendre's tail criterion (a non-integral or wrong-side
+term, a tail that never starts).  The CLI exits 1 on every one of them.
+"""
 
 
 class DomainError(ValueError):
-    """An argument lies outside the mathematical domain of the operation."""
+    """An argument lies outside the mathematical domain of the operation.
+
+    The base class of every refusal: ``cfrac.cli.run`` exits 1 on any
+    ``DomainError``, so a new refusal subclasses it and needs no entry there.
+    """
 
 
-class NonPositiveTermError(ValueError):
+class NonPositiveTermError(DomainError):
     """Evaluation consumed a term whose partial numerator or denominator is
     not strictly positive, so the bracketing error bound does not apply."""
 
@@ -39,7 +50,7 @@ class ExpansionExhaustedError(LookupError):
         self.length = length
 
 
-class ZeroScaleError(ValueError):
+class ZeroScaleError(DomainError):
     """Equivalence scale factors must be nonzero."""
 
     def __init__(self, index):
@@ -47,7 +58,7 @@ class ZeroScaleError(ValueError):
         self.index = index
 
 
-class InvalidTermError(ValueError):
+class InvalidTermError(DomainError):
     """A term (or term-rule coefficient) violates the positive-integer
     requirement of the tail criterion."""
 
@@ -56,7 +67,7 @@ class InvalidTermError(ValueError):
         self.index = index
 
 
-class TailUnreachableError(ValueError):
+class TailUnreachableError(DomainError):
     """The partial denominators never eventually dominate the partial
     numerators, so the tail criterion can never be satisfied."""
 

@@ -113,6 +113,12 @@ def _check_tail(i: int, a: int, b: int, n: int) -> None:
         raise InvalidTermError(f"tail index {n} is not minimal: a_{n} = {a} > b_{n} = {b}", index=i)
 
 
+def _scan(rule, indices, n: int) -> None:
+    """Build term i of ``rule`` for each i in ``indices``; check it against tail index n."""
+    for i in indices:
+        _check_tail(i, *_check_integer_positive(rule.term(i), i), n)
+
+
 def legendre_tail_index(cf: ContinuedFraction) -> int:
     """Smallest n >= 1 such that a_i > b_i for every i > n.
 
@@ -150,8 +156,7 @@ def legendre_tail_index(cf: ContinuedFraction) -> int:
 
     head = range(1, SCAN_MARGIN + 1)
     threshold = range(max(1, n - SCAN_MARGIN), n + SCAN_MARGIN + 1)
-    for i in sorted({*head, *threshold}):
-        _check_tail(i, *_check_integer_positive(rule.term(i), i), n)
+    _scan(rule, sorted({*head, *threshold}), n)
     return n
 
 
@@ -201,9 +206,13 @@ def verify_certificate(
     independently to ``depth`` and re-checks every term for positivity,
     integrality, and a_i > b_i past the tail index.
 
-    Failures are reported in the outcome, never raised; a ``depth`` out of
-    range raises ValueError (too small) or DomainError (over budget) before
-    any work.
+    Failures are reported in the outcome, never raised: any ``DomainError``
+    met while re-deriving, comparing or rescanning, such as a term that is
+    not integral or positive, a wrong-side term or a zero scale from the term
+    rule, becomes a failed outcome with its message, and with the index of
+    the term when the error carries one (``InvalidTermError``).  A ``depth``
+    out of range raises ValueError (too small) or DomainError (over budget)
+    before any work.
     """
     if depth is not None:
         if depth < cert.checked_prefix_depth:
@@ -213,28 +222,20 @@ def verify_certificate(
 
     try:
         expected = certify_irrational(cert.x, cert.y)
+        for field in fields(IrrationalityCertificate):
+            got = getattr(cert, field.name)
+            want = getattr(expected, field.name)
+            if got != want:
+                got, want = _field_text(got), _field_text(want)
+                return VerificationOutcome(
+                    False,
+                    reason=f"{field.name} does not recompute: stored {got}, derived {want}",
+                )
+        if depth is not None and cert.verdict != VERDICT_NOT_APPLICABLE:
+            cf = tanh_integer_cf(cert.reduced_x, cert.reduced_y)
+            _scan(cf.rule, range(1, depth + 1), cert.tail_index)
     except InvalidTermError as exc:
         return VerificationOutcome(False, reason=str(exc), failed_index=exc.index)
-    except (DomainError, TailUnreachableError) as exc:
+    except DomainError as exc:
         return VerificationOutcome(False, reason=str(exc))
-
-    for field in fields(IrrationalityCertificate):
-        got = getattr(cert, field.name)
-        want = getattr(expected, field.name)
-        if got != want:
-            got, want = _field_text(got), _field_text(want)
-            return VerificationOutcome(
-                False,
-                reason=f"{field.name} does not recompute: stored {got}, derived {want}",
-            )
-
-    if depth is None or cert.verdict == VERDICT_NOT_APPLICABLE:
-        return VerificationOutcome(True)
-
-    cf = tanh_integer_cf(cert.reduced_x, cert.reduced_y)
-    for i in range(1, depth + 1):
-        try:
-            _check_tail(i, *_check_integer_positive(cf.term(i), i), cert.tail_index)
-        except InvalidTermError as exc:
-            return VerificationOutcome(False, reason=str(exc), failed_index=i)
     return VerificationOutcome(True)

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cfrac import cli
 from cfrac.cli import (
@@ -13,7 +15,16 @@ from cfrac.cli import (
     certified_digits,
     decimal_preview,
 )
-from cfrac.errors import CertificateFormatError
+from cfrac.core import Term
+from cfrac.errors import (
+    CertificateFormatError,
+    DepthCapError,
+    DomainError,
+    InvalidTermError,
+    NonPositiveTermError,
+    TailUnreachableError,
+    ZeroScaleError,
+)
 from cfrac.expansions import e_simple_cf, tanh_integer_cf
 from cfrac.irrationality import certify_irrational
 
@@ -244,6 +255,29 @@ def test_digits_with_an_integer_part_past_the_int_str_limit_match_mpmath(capsys)
     assert out.splitlines()[0] == f"{expected[:-5]}.{expected[-5:]}"
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    expr_x=st.one_of(
+        st.tuples(st.just("exp"), st.integers(-60, 60)),
+        st.tuples(st.just("tanh"), st.integers(1, 60)),
+    ),
+    y=st.integers(1, 30),
+    n=st.integers(1, 300),
+)
+def test_digits_match_mpmath_on_random_requests(expr_x, y, n):
+    # An mpmath check apart from the exact-series oracles of tests/oracles.py.
+    # e^60 < 10^27, so n + 67 significant digits put the error of v below
+    # 10^-(n+40); a v within 10^-(n+30) of a truncation boundary is skipped.
+    expr, x = expr_x
+    with mpmath.workdps(n + 67):
+        v = (mpmath.exp if expr == "exp" else mpmath.tanh)(mpmath.mpf(x) / y)
+        eps, scale = mpmath.mpf(10) ** -(n + 30), mpmath.mpf(10) ** n
+        low, high = (int(mpmath.floor((v + d) * scale)) for d in (-eps, eps))
+    assume(low == high)
+    integer_part, fractional_part, _ = certified_digits(expr, x, y, n)
+    assert int(integer_part + fractional_part) == low
+
+
 def test_decimal_preview():
     assert decimal_preview(0, 1) == "0"
     assert decimal_preview(3, 1, sig=5) == "3.0000"
@@ -440,3 +474,46 @@ def test_out_flag_writes_file(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and "convergents" in out
+
+
+# ----------------------------------------------------------------- exit codes
+
+
+#: One failure of each class ``cli.run`` tells apart, with its exit code.
+EXIT_CODES = (
+    (DomainError("x is out of range"), 1),
+    (NonPositiveTermError(3, Term(0, 1)), 1),
+    (ZeroScaleError(4), 1),
+    (InvalidTermError("term 5 is not integral", index=5), 1),
+    (TailUnreachableError("the tail never starts"), 1),
+    (DepthCapError("no convergence within the cap", best=None), 1),
+    (OSError("disk full"), 1),
+    (ZeroDivisionError("division by zero"), 1),
+    (CertificateFormatError("not valid JSON"), 2),
+    (ValueError("a usage error"), 2),
+)
+
+
+@pytest.mark.parametrize("exc,code", EXIT_CODES, ids=[type(e).__name__ for e, _ in EXIT_CODES])
+def test_each_failure_class_has_its_exit_code(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_digits", fail)
+    argv = ("digits", "--expr", "exp", "--x", "1", "--y", "2", "--digits", "5")
+    assert run_cli(capsys, *argv) == (code, "", f"error: {exc}\n")
+
+
+@pytest.mark.parametrize(
+    "kind", (NonPositiveTermError, ZeroScaleError, InvalidTermError, TailUnreachableError)
+)
+def test_every_refusal_is_a_domain_error(kind):
+    assert issubclass(kind, DomainError) and issubclass(kind, ValueError)
+
+
+def test_unreadable_certificate_exits_two_with_the_os_message(capsys, tmp_path):
+    path = tmp_path / "nope.json"
+    with pytest.raises(OSError) as unreadable:
+        path.read_text(encoding="utf-8")
+    expected = (2, "", f"error: cannot read certificate: {unreadable.value}\n")
+    assert run_cli(capsys, "verify", str(path)) == expected

@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 
 from cfrac.cli import certificate_to_json, run
 from cfrac.core import DEPTH_CAP, ClosedFormRule, Term
-from cfrac.errors import DomainError, InvalidTermError
+from cfrac.errors import DomainError, InvalidTermError, NonPositiveTermError, ZeroScaleError
 from cfrac.expansions import tanh_integer_cf
 from cfrac.irrationality import (
     CHECKED_PREFIX_MARGIN,
     SCAN_MARGIN,
     certify_irrational,
     legendre_tail_index,
+    VerificationOutcome,
     verify_certificate,
 )
 
@@ -170,3 +171,35 @@ def test_corrupted_term_past_the_checked_prefix_needs_an_explicit_depth(monkeypa
     assert not outcome and outcome.failed_index == index
     assert run(["verify", str(path), "--depth", str(2 * CHECKED)]) == 1
     assert f"violated index: {index}\n" in capsys.readouterr().err
+
+
+# A term rule may refuse a term itself (a zero scale, a non-positive term).
+# Each index is in the head window, the threshold window, or past the checked
+# prefix, where only an explicit depth reaches it.
+RULE_REFUSALS = [
+    (index, depth, error)
+    for index, depth in ((SCAN_MARGIN, None), (N, None), (CHECKED + 7, 2 * CHECKED))
+    for error in (ZeroScaleError(index), NonPositiveTermError(index, Term(-1, X * X)))
+]
+
+
+@pytest.mark.parametrize("index,depth,error", RULE_REFUSALS)
+def test_a_refusal_from_the_term_rule_is_a_failed_outcome(monkeypatch, capsys, tmp_path,
+                                                          index, depth, error):
+    cert = certify_irrational(X, Y)
+    path = tmp_path / "cert.json"
+    path.write_text(certificate_to_json(cert), encoding="utf-8")
+    honest = ClosedFormRule.term
+
+    def term(self, i):
+        if i == index:
+            raise error
+        return honest(self, i)
+
+    monkeypatch.setattr(ClosedFormRule, "term", term)
+
+    assert verify_certificate(cert, depth) == VerificationOutcome(False, reason=str(error))
+    argv = ["verify", str(path)] + ([] if depth is None else ["--depth", str(depth)])
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"verification failed: {error}\n")

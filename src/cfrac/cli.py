@@ -3,9 +3,13 @@
 Subcommands: ``convergents``, ``digits``, ``certify``, ``verify``.  Data goes
 to stdout (or ``--out FILE``); diagnostics go to stderr.  Exit codes: 0 on
 success; 1 on every refusal (a ``DomainError``: bad x/y, digit cap, depth
-over budget) and on failed verification; 2 on usage errors (unknown flags,
-missing arguments, malformed or unreadable certificate files).  ``run`` is
-the only code that turns a failure into an exit code and an ``error:`` line.
+over budget), on failed verification and on an ``--out`` that cannot be
+written (a directory, or a file in a missing directory); 2 on usage errors
+(unknown flags, missing arguments, malformed or unreadable certificate
+files).  ``run`` is the only code that turns a failure into an exit code and
+an ``error:`` line.  The parser is built once per process (``build_parser``)
+and shared by every ``run`` call; ``run`` looks up the handler
+``cmd_<command>`` by the parsed command name when the request arrives.
 
 Decimal rendering of results lives here; the library underneath never
 leaves exact rational arithmetic.  Digit strings are truncated, not rounded:
@@ -363,7 +367,16 @@ def cmd_verify(args) -> int:
     return 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cfrac`` argument parser, built on the first call and shared after it.
+
+    Every later call in the process returns the same parser, so callers
+    must not mutate it.  Parsing leaves it as it was: ``parse_args`` returns
+    a fresh namespace, and help text is formatted when it is printed.  Each
+    subcommand's namespace holds its own subparser as ``parser``, for
+    ``parser.error``, and no handler: ``run`` looks that up by name.
+    """
     parser = argparse.ArgumentParser(
         prog="cfrac",
         description="Exact continued fractions: convergents, certified digits, irrationality certificates.",
@@ -377,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=10)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_convergents, parser=p)
+    p.set_defaults(parser=p)
 
     p = sub.add_parser("digits", help="certified decimal digits of exp(x/y) or tanh(x/y)")
     p.add_argument("--expr", choices=("exp", "tanh"), required=True)
@@ -386,21 +399,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_digits, parser=p)
+    p.set_defaults(parser=p)
 
     p = sub.add_parser("certify", help="emit an irrationality certificate for tanh(x/y) and e^(x/y)")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_certify, parser=p)
+    p.set_defaults(parser=p)
 
     p = sub.add_parser("verify", help="re-check a certificate file")
     p.add_argument("certificate", help="path to a JSON certificate")
     p.add_argument(
         "--depth", type=int, help=f"also rescan every term up to this depth (at most {DEPTH_CAP})"
     )
-    p.set_defaults(func=cmd_verify, parser=p)
+    p.set_defaults(parser=p)
 
     return parser
 
@@ -408,15 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Dispatch a command line; returns the exit code instead of exiting.
 
-    The only code that turns a failure into an exit code.  argparse's own
-    exits keep their code.  A refusal (any ``DomainError``), a depth cap, a
-    division by zero or an I/O error prints ``error: <message>`` and exits 1;
-    any other ValueError, such as a malformed or unreadable certificate,
-    exits 2.
+    Parses with the parser ``build_parser`` built once for the process, then
+    calls the module's ``cmd_<command>`` as it stands at call time.  The only
+    code that turns a failure into an exit code.  argparse's own exits keep
+    their code.  A refusal (any ``DomainError``), a depth cap, a division by
+    zero or an I/O error, such as an ``--out`` that cannot be written, prints
+    ``error: <message>`` and exits 1; any other ValueError, such as a
+    malformed or unreadable certificate, exits 2.
     """
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (DomainError, DepthCapError, ZeroDivisionError, OSError) as exc:

@@ -1,7 +1,11 @@
+import argparse
 import json
+import os
+import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -474,6 +478,74 @@ def test_out_flag_writes_file(capsys, tmp_path):
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0 and "convergents" in out
+
+
+@pytest.mark.parametrize("command", (
+    ("convergents", "--expansion", "e", "--depth", "3"),
+    ("digits", "--expr", "exp", "--x", "1", "--y", "2", "--digits", "5"),
+    ("certify", "--x", "1", "--y", "2"),
+))
+@pytest.mark.parametrize("target", ("directory", "missing/table.txt"))
+def test_unwritable_out_exits_one(capsys, tmp_path, command, target):
+    (tmp_path / "directory").mkdir()
+    code, out, err = run_cli(capsys, *command, "--out", str(tmp_path / target))
+    assert (code, out) == (1, "") and err.startswith("error: [Errno")
+
+
+# ------------------------------------------------------------ one process
+
+
+#: Requests that differ in exactly what a shared parser could carry over:
+#: a ``--format`` left out after one given, ``--x``/``--y`` left out after
+#: both given, the subparser's own usage error, a refusal and both helps.
+SEQUENCE = (
+    ("digits", "--expr", "exp", "--x", "1", "--y", "2", "--digits", "20", "--format", "json"),
+    ("digits", "--expr", "exp", "--x", "1", "--y", "2", "--digits", "20"),
+    ("convergents", "--expansion", "tanh", "--x", "1", "--y", "2", "--depth", "3",
+     "--format", "json"),
+    ("convergents", "--expansion", "e", "--depth", "3", "--format", "json"),
+    ("convergents", "--expansion", "tanh", "--depth", "3"),
+    ("digits", "--expr", "tanh", "--x", "1", "--y", "0", "--digits", "5"),
+    ("--help",),
+    ("digits", "--help"),
+)
+
+
+def test_no_state_leaks_between_requests_in_one_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    in_process = [run_cli(capsys, *argv) for argv in SEQUENCE]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, COLUMNS="80")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    alone = []
+    for argv in SEQUENCE:
+        done = subprocess.run(
+            [sys.executable, "-m", "cfrac", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        alone.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == alone
+    codes = [code for code, _, _ in in_process]
+    assert codes == [0, 0, 0, 0, 2, 1, 0, 0]
+    assert not in_process[1][1].startswith("{")
+    assert not {"x", "y"} & json.loads(in_process[3][1]).keys()
+
+
+def test_the_parser_is_built_once(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    digits = ("digits", "--expr", "exp", "--x", "1", "--y", "2", "--digits")
+    codes = [run_cli(capsys, *digits, str(n))[0] for n in range(1, 9)]
+    codes.append(run_cli(capsys, "digits", "--frobnicate")[0])
+    codes.append(run_cli(capsys, *digits, "0")[0])
+    assert codes == [0] * 8 + [2, 1]
+    assert len(built) <= 5  # the parser and its four subparsers
 
 
 # ----------------------------------------------------------------- exit codes

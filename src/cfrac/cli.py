@@ -25,7 +25,12 @@ rendered (``core._decimal``) and parsed in chunks below the smallest limit
 the interpreter accepts, so they print at any size.  Convergent tables are
 walked in base-10 integers (``decimal.Decimal`` under an exact context), which
 print in linear time; a row that would print an integer past the
-interpreter's limit fails as str() of that integer would.
+interpreter's limit fails as str() of that integer would.  Each row is also
+built in time linear in its digits: the gap denominator k_n k_{n-1} comes
+from a recurrence with term-sized multipliers (``_convergent_rows``), not
+from a full-size product, and the rows are written by one format per table,
+text or JSON.  Only a tanh row with |D_n| > 1 pays more, a gcd of full-size
+integers to reduce its gap.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .core import _CHUNK_DIGITS, DEPTH_CAP, _compare_products, _decimal, _Walk
+from .core import _CHUNK_DIGITS, DEPTH_CAP, _compare_products, _decimal, _integer_terms, _Walk
 from .errors import (
     CertificateFormatError,
     DepthCapError,
@@ -247,15 +252,15 @@ def _emit(args, render_json: Callable[[], str], render_text: Callable[[], str]) 
     return 0
 
 
-def _row_text(n: Decimal) -> str:
-    """An integer-valued Decimal in decimal digits, under the int-str limit.
+def _row_text(n: Decimal, limit: int) -> str:
+    """An integer-valued Decimal in decimal digits, under the int-str limit ``limit``.
 
     str() of a Decimal takes linear time and never checks the limit, so a
     number past it goes through str(int(n)) to raise the interpreter's own
-    ValueError, as a table of ints would.
+    ValueError, as a table of ints would.  ``limit`` is
+    ``sys.get_int_max_str_digits()``, read once per table.
     """
     text = str(n)
-    limit = sys.get_int_max_str_digits()
     if limit and len(text) > limit:
         str(int(n))
     return text
@@ -265,15 +270,34 @@ def _convergent_rows(cf, depth: int) -> list[dict]:
     """Rows n = 1..depth: h_n/k_n and the gap P_n/(k_n k_{n-1}) in lowest terms.
 
     The walk holds Decimal integers in an exact context, so every row
-    prints in time linear in its digits.  By the determinant identity a
-    common divisor of h_n and k_n divides P_n, and so does one of P_n and
-    k_n k_{n-1}: a row with P_n = 1 is in lowest terms as it stands.
+    prints in time linear in its digits, and the gap denominator
+    Q_n = k_n k_{n-1} is not formed as a full-size product either.  With
+    S_n = k_n^2 and k_n = a_n k_{n-1} + b_n k_{n-2}:
+
+        Q_n = a_n k_{n-1}^2 + b_n k_{n-1} k_{n-2} = a_n S_{n-1} + b_n Q_{n-1}
+        S_n = a_n^2 S_{n-1} + 2 a_n b_n Q_{n-1} + b_n^2 S_{n-2}
+
+    from k_{-1} = 0 and k_0 = c_0, that is S_{-1} = 0, S_0 = c_0^2 and
+    Q_0 = 0.  The terms come from a second ``_integer_terms(cf)``, advanced
+    in lockstep with the walk's own, so every multiplier is term-sized.
+
+    By the determinant identity a common divisor of h_n and k_n divides P_n,
+    and so does one of P_n and Q_n: a row with P_n = 1 is in lowest terms as
+    it stands.  Other rows print a reduced copy; Q_n is carried unreduced.
     """
     rows = []
+    limit = sys.get_int_max_str_digits()
+    terms = _integer_terms(cf)
+    c_0 = cf.leading.denominator
+    carry = (Decimal(0), Decimal(c_0 * c_0), Decimal(0))  # S_{n-2}, S_{n-1}, Q_{n-1}
 
     def row(state):  # returns None: never stops the walk
-        n, _, h, k_prev, k, p = state
-        den = k * k_prev
+        nonlocal carry
+        n, _, h, _, k, p = state
+        a, b = next(terms)
+        s_2, s_1, q_1 = carry
+        den = a * s_1 + b * q_1
+        carry = s_1, a * a * s_1 + 2 * a * b * q_1 + b * b * s_2, den
         if p > 1:
             # gcd(h, k) divides gcd(P, k), which divides g = gcd(P, k k')
             g = gcd(int(p), int(den % p))
@@ -281,12 +305,14 @@ def _convergent_rows(cf, depth: int) -> list[dict]:
                 p, den = p // g, den // g
                 g = gcd(g, int(h % g), int(k % g))
                 h, k = h // g, k // g
-        gap = _row_text(p) if den == 1 else f"{_row_text(p)}/{_row_text(den)}"
+        gap = _row_text(p, limit)
+        if den != 1:
+            gap = f"{gap}/{_row_text(den, limit)}"
         rows.append(
             {
                 "index": n,
-                "h": _row_text(h),
-                "k": _row_text(k),
+                "h": _row_text(h, limit),
+                "k": _row_text(k, limit),
                 "value": decimal_preview(h, k),
                 "gap": gap,
             }
@@ -300,16 +326,39 @@ def _convergent_rows(cf, depth: int) -> list[dict]:
     return rows
 
 
+#: The keys of a table row in column order, each with its text header.
+_TABLE_COLUMNS = {"index": "n", "h": "h", "k": "k", "value": "value", "gap": "gap"}
+
+
 def _render_rows(rows: list[dict]) -> str:
-    headers = {"index": "n", "h": "h", "k": "k", "value": "value", "gap": "gap"}
-    cols = list(headers)
-    widths = {
-        c: max(len(headers[c]), *(len(str(row[c])) for row in rows)) for c in cols
-    }
-    lines = ["  ".join(headers[c].ljust(widths[c]) for c in cols).rstrip()]
-    for row in rows:
-        lines.append("  ".join(str(row[c]).ljust(widths[c]) for c in cols).rstrip())
-    return "\n".join(lines) + "\n"
+    """The text table: columns two spaces apart, each padded to its widest cell but the last."""
+    *padded, last = _TABLE_COLUMNS
+    widths = (max(len(_TABLE_COLUMNS[c]), *(len(str(row[c])) for row in rows)) for c in padded)
+    line = "".join(f"%({c})-{w}s  " for c, w in zip(padded, widths)) + f"%({last})s\n"
+    return "".join(line % row for row in (_TABLE_COLUMNS, *rows))
+
+
+#: One row of a JSON table, as ``json.dumps(payload, indent=2)`` writes it.
+#: Every value is made of the characters 0-9, "/", "." and "-", which json
+#: writes as they are, so the values go into the template unescaped.
+_JSON_ROW = """\
+    {
+      "index": %(index)s,
+      "h": "%(h)s",
+      "k": "%(k)s",
+      "value": "%(value)s",
+      "gap": "%(gap)s"
+    }"""
+
+
+def _table_json(args, rows: list[dict]) -> str:
+    """The table as ``json.dumps(payload, indent=2) + "\\n"`` writes it, in its key order."""
+    tail = f',\n  "x": "{args.x}",\n  "y": "{args.y}"' if args.expansion == "tanh" else ""
+    body = ",\n".join(_JSON_ROW % row for row in rows)
+    return (
+        f'{{\n  "expansion": "{args.expansion}",\n  "depth": {args.depth},\n'
+        f'  "convergents": [\n{body}\n  ]{tail}\n}}\n'
+    )
 
 
 def cmd_convergents(args) -> int:
@@ -322,10 +371,7 @@ def cmd_convergents(args) -> int:
     if args.depth < 1:
         raise DomainError("depth must be >= 1")
     rows = _convergent_rows(cf, args.depth)
-    payload = {"expansion": args.expansion, "depth": args.depth, "convergents": rows}
-    if args.expansion == "tanh":
-        payload.update(x=str(args.x), y=str(args.y))
-    return _emit(args, lambda: _json(payload), lambda: _render_rows(rows))
+    return _emit(args, lambda: _table_json(args, rows), lambda: _render_rows(rows))
 
 
 def cmd_digits(args) -> int:

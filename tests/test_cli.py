@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -19,7 +20,7 @@ from cfrac.cli import (
     certified_digits,
     decimal_preview,
 )
-from cfrac.core import Term
+from cfrac.core import ClosedFormRule, ContinuedFraction, ExplicitListRule, Term
 from cfrac.errors import (
     CertificateFormatError,
     DepthCapError,
@@ -132,6 +133,69 @@ def test_convergent_rows_past_the_default_int_str_limit_match_reference():
     cf = e_simple_cf()
     with int_str_limit(0):
         assert cli._convergent_rows(cf, 2200) == reference_convergent_rows(cf, 2200)
+
+
+#: Expansions whose table rows exercise the gap recurrence: a leading term
+#: with c_0 = 3 and rational terms; a negative leading term and a rational
+#: closed form; gcd(P_n, k_n k_{n-1}) of up to 467 digits in tanh(12/18),
+#: which is not reduced to tanh(2/3); and the two bench expansions.
+ROW_EXPANSIONS = {
+    "list 5/3": ContinuedFraction(
+        F(5, 3),
+        ExplicitListRule(tuple(Term(F(i % 7 + 1, 3), F(2, i % 5 + 1)) for i in range(300))),
+    ),
+    "closed -2/9": ContinuedFraction(
+        F(-2, 9), ClosedFormRule(b_first=F(3, 2), b_rest=F(5, 4), a_slope=F(2, 3), a_intercept=F(1, 5))
+    ),
+    "tanh 12/18": tanh_integer_cf(12, 18),
+    "tanh 7/3": tanh_integer_cf(7, 3),
+    "e": e_simple_cf(),
+}
+
+#: The characters of every row value; json writes them unescaped.
+ROW_VALUE = re.compile(r"[-0-9./]+")
+
+
+@pytest.mark.parametrize("depth", (1, 2, 40, 300))
+@pytest.mark.parametrize("name", ROW_EXPANSIONS)
+def test_convergent_rows_match_reference(name, depth):
+    cf = ROW_EXPANSIONS[name]
+    assert cli._convergent_rows(cf, depth) == reference_convergent_rows(cf, depth)
+
+
+small_positive_rationals = st.builds(F, st.integers(1, 40), st.integers(1, 40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.builds(F, st.integers(-40, 40), st.integers(1, 40)),
+    st.lists(st.builds(Term, small_positive_rationals, small_positive_rationals), min_size=1, max_size=12),
+)
+def test_convergent_rows_match_reference_on_short_rational_lists(leading, terms):
+    cf = ContinuedFraction(leading, ExplicitListRule(tuple(terms)))
+    rows = cli._convergent_rows(cf, len(terms))
+    assert rows == reference_convergent_rows(cf, len(terms))
+    assert all(ROW_VALUE.fullmatch(row[key]) for row in rows for key in ("h", "k", "value", "gap"))
+
+
+@pytest.mark.parametrize("expansion,depth", (
+    (("e",), 1),
+    (("e",), 300),
+    (("tanh", "--x", "7", "--y", "3"), 300),
+    (("tanh", "--x", "12", "--y", "18"), 300),
+))
+def test_convergent_json_is_what_json_dumps_writes(capsys, expansion, depth):
+    code, out, err = run_cli(
+        capsys, "convergents", "--expansion", *expansion, "--depth", str(depth), "--format", "json"
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    tail = ["x", "y"] if expansion[0] == "tanh" else []
+    assert list(payload) == ["expansion", "depth", "convergents", *tail]
+    assert len(payload["convergents"]) == depth
+    for row in payload["convergents"]:
+        assert all(ROW_VALUE.fullmatch(row[key]) for key in ("h", "k", "value", "gap"))
 
 
 def test_convergents_depth_zero_is_domain_error(capsys):

@@ -16,6 +16,8 @@ The tool imports ``cfrac`` from the ``src/`` and ``bench`` from the checkout it
 sits in, reads nothing else there and writes only to a temporary directory.
 To compare two commits, copy it into the other checkout, run it in both and
 diff the outputs.  Help text is wrapped at 80 columns whatever the terminal.
+``tools/outputs.txt`` holds the output of the default run, and
+``tests/test_outputs_tool.py`` fails when the tool prints anything else.
 """
 
 from __future__ import annotations

@@ -186,9 +186,21 @@ def _json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+#: A certificate as ``json.dumps(payload, indent=2)`` writes it, keys in the
+#: order of CERTIFICATE_KEYS.  The integers are ``_decimal`` strings, made of
+#: "-" and 0-9, and the version is a constant that needs no escaping either
+#: (a test checks it), so both go in as they are; only the verdict goes
+#: through json.
+_CERTIFICATE_JSON = (
+    "{\n"
+    + "".join(f'  "{key}": "%({attr})s",\n' for key, attr in _CERTIFICATE_INTEGERS)
+    + f'  "verdict": %(verdict)s,\n  "engineVersion": "{__version__}"\n}}\n'
+)
+
+
 def certificate_to_json(cert: IrrationalityCertificate) -> str:
-    payload = {key: _decimal(getattr(cert, attr)) for key, attr in _CERTIFICATE_INTEGERS}
-    return _json({**payload, "verdict": cert.verdict, "engineVersion": __version__})
+    fields = {attr: _decimal(getattr(cert, attr)) for _, attr in _CERTIFICATE_INTEGERS}
+    return _CERTIFICATE_JSON % {**fields, "verdict": json.dumps(cert.verdict)}
 
 
 def certificate_from_json(text: str) -> IrrationalityCertificate:

@@ -68,22 +68,32 @@ class Term:
     """One level of the fraction: partial denominator a, partial numerator b.
 
     b = 0 is excluded: a zero partial numerator truncates the fraction, which
-    is represented by ending the term stream instead.
+    is represented by ending the term stream instead.  Both fields are
+    Fractions; a value whose type is exactly Fraction is already normalised
+    and is stored as it is, anything else goes through Fraction() once.
     """
 
     a: Fraction
     b: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b == 0:
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
+        if not self.b:
             raise ValueError("partial numerator must be nonzero")
 
 
 @dataclass(frozen=True)
 class ClosedFormRule:
-    """a_i = a_slope*i + a_intercept; b_1 = b_first, b_i = b_rest for i >= 2."""
+    """a_i = a_slope*i + a_intercept; b_1 = b_first, b_i = b_rest for i >= 2.
+
+    Coefficients are stored as Fractions, converted as in ``Term``.  Each
+    a_i is normalised once, from integers: with a_slope = s/t and
+    a_intercept = c/d, a_i = (s i d + c t)/(t d).  b_i is the stored
+    coefficient itself.
+    """
 
     b_first: Fraction
     b_rest: Fraction
@@ -92,12 +102,14 @@ class ClosedFormRule:
 
     def __post_init__(self):
         for name in ("b_first", "b_rest", "a_slope", "a_intercept"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            if type(getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
 
     def term(self, i: int) -> Term:
-        a = self.a_slope * i + self.a_intercept
-        b = self.b_first if i == 1 else self.b_rest
-        return Term(a, b)
+        slope, intercept = self.a_slope, self.a_intercept
+        t, d = slope.denominator, intercept.denominator
+        a = Fraction(slope.numerator * i * d + intercept.numerator * t, t * d)
+        return Term(a, self.b_first if i == 1 else self.b_rest)
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ class VerificationOutcome:
 def _check_integer_positive(term, i: int) -> tuple[int, int]:
     if not (term.a.denominator == 1 and term.b.denominator == 1):
         raise InvalidTermError(f"term {i} is not integral: a={term.a}, b={term.b}", index=i)
-    a, b = int(term.a), int(term.b)
+    a, b = term.a.numerator, term.b.numerator
     if a < 1 or b < 1:
         raise InvalidTermError(f"term {i} is not positive: a={a}, b={b}", index=i)
     return a, b

@@ -18,6 +18,9 @@ rule by which ``cli.certified_digits`` pinned digits from the endpoints
 ``reference_*`` certificate functions are the term scans that the
 closed-form checks of ``cfrac.irrationality`` replaced, also kept verbatim;
 ``closed_form_tail_index`` is the tail index in plain integer arithmetic.
+``reference_closed_form_term`` is ``ClosedFormRule.term`` and the ``Term``
+normalisation as they were before each term was normalised once, from
+integers.
 """
 
 from __future__ import annotations
@@ -332,6 +335,21 @@ def reference_convergent_rows(cf, depth):
         )
         prev = value
     return rows
+
+
+def reference_closed_form_term(b_first, b_rest, a_slope, a_intercept, i: int):
+    """Term i of the closed-form rule with these coefficients, as (a_i, b_i).
+
+    Every value goes through Fraction(), a_i = a_slope*i + a_intercept takes
+    two normalising Fraction operations, and a zero b_i raises ValueError.
+    """
+    b_first, b_rest, a_slope, a_intercept = map(Fraction, (b_first, b_rest, a_slope, a_intercept))
+    a = a_slope * i + a_intercept
+    b = b_first if i == 1 else b_rest
+    a, b = Fraction(a), Fraction(b)
+    if b == 0:
+        raise ValueError("partial numerator must be nonzero")
+    return a, b
 
 
 def closed_form_tail_index(rx: int, ry: int) -> int:

@@ -404,6 +404,22 @@ def test_json_round_trip_is_byte_identical(tmp_path):
         assert certificate_to_json(certificate_from_json(blob)) == blob
 
 
+def test_certificate_json_is_what_json_dumps_writes():
+    # The certificate template writes the bytes of json.dumps(indent=2), keys
+    # in schema order, at any size: the last tail index has 4400 digits.
+    assert json.dumps(cli.__version__) == f'"{cli.__version__}"'
+    pairs = [(0, 5), (-14, 1), (1000001, 3), (100, 1), (10**2200 + 1, 1)]
+    with int_str_limit(4000):
+        for x, y in pairs:
+            cert = certify_irrational(x, y)
+            out = certificate_to_json(cert)
+            payload = json.loads(out)
+            assert out == json.dumps(payload, indent=2) + "\n"
+            assert tuple(payload) == cli.CERTIFICATE_KEYS
+            assert certificate_from_json(out) == cert
+    assert len(payload["tailIndex"]) == 4400
+
+
 def test_certificates_past_the_int_str_limit_round_trip(capsys, tmp_path):
     # The tail index of tanh(x/1) is about x^2/2: 660 digits here.
     x = 10**330 + 1

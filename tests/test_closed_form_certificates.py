@@ -1,6 +1,7 @@
 """Closed-form certificates against the scanning reference and the integer oracle."""
 
 import json
+import math
 import time
 from dataclasses import asdict, replace
 from fractions import Fraction
@@ -203,3 +204,31 @@ def test_a_refusal_from_the_term_rule_is_a_failed_outcome(monkeypatch, capsys, t
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"verification failed: {error}\n")
+
+
+def test_certify_and_verify_do_a_fixed_amount_of_work(monkeypatch):
+    # Each window term is normalised once, from integers: a certify or a
+    # verify of tanh(100/1) makes 45 Fraction normalisations (math.gcd
+    # calls), against 107 when every term paid for Fraction arithmetic.  The
+    # terms built are the head and threshold windows, each index once.
+    cert = certify_irrational(X, Y)
+    honest_gcd, honest_term = math.gcd, ClosedFormRule.term
+    gcds, indices = [], []
+
+    def counting_gcd(*args):
+        gcds.append(args)
+        return honest_gcd(*args)
+
+    def term(self, i):
+        indices.append(i)
+        return honest_term(self, i)
+
+    monkeypatch.setattr(math, "gcd", counting_gcd)
+    monkeypatch.setattr(ClosedFormRule, "term", term)
+    windows = [*range(1, SCAN_MARGIN + 1), *range(N - SCAN_MARGIN, N + SCAN_MARGIN + 1)]
+    for work in (lambda: certify_irrational(X, Y), lambda: verify_certificate(cert)):
+        gcds.clear()
+        indices.clear()
+        assert work()
+        assert len(gcds) <= 60
+        assert sorted(indices) == windows

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfrac.core import (
     ApproximationResult,
@@ -23,7 +25,7 @@ from cfrac.errors import (
 )
 from cfrac.expansions import e_simple_cf, gauss_tanh_cf, tanh_integer_cf
 
-from tests.oracles import ConvergentState, bottom_up_value
+from tests.oracles import ConvergentState, bottom_up_value, reference_closed_form_term
 
 F = Fraction
 
@@ -278,3 +280,61 @@ def test_closed_form_integer_coefficients_give_integer_terms():
     for i in range(1, 1001):
         term = rule.term(i)
         assert term.a.denominator == 1 and term.b.denominator == 1
+
+
+# ------------------------------------------ term arithmetic against the reference
+
+
+class _Ratio(Fraction):
+    """A Fraction subclass, which Term and ClosedFormRule convert like any other value."""
+
+
+_COEFFICIENTS = st.fractions() | st.integers(-(10**30), 10**30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    b_first=_COEFFICIENTS,
+    b_rest=_COEFFICIENTS,
+    a_slope=_COEFFICIENTS,
+    a_intercept=_COEFFICIENTS | st.just(F(0)),
+    i=st.integers(1, 10**6) | st.just(1),
+)
+def test_closed_form_terms_match_the_fraction_reference(b_first, b_rest, a_slope, a_intercept, i):
+    rule = ClosedFormRule(b_first, b_rest, a_slope, a_intercept)
+    try:
+        want = reference_closed_form_term(b_first, b_rest, a_slope, a_intercept, i)
+    except ValueError as refusal:
+        with pytest.raises(ValueError) as caught:
+            rule.term(i)
+        assert str(caught.value) == str(refusal)
+        return
+    term = rule.term(i)
+    assert type(term.a) is Fraction and type(term.b) is Fraction
+    got = [(q.numerator, q.denominator) for q in (term.a, term.b)]
+    assert got == [(q.numerator, q.denominator) for q in want]
+
+
+_KINDS = (3, -2.25, _Ratio(7, -3), F(5, 4))
+
+
+@pytest.mark.parametrize("a", _KINDS)
+@pytest.mark.parametrize("b", _KINDS)
+def test_terms_and_rules_store_plain_fractions_whatever_they_are_given(a, b):
+    term = Term(a, b)
+    want = Term(Fraction(a), Fraction(b))
+    assert (term.a, term.b) == (want.a, want.b)
+    assert type(term.a) is Fraction and type(term.b) is Fraction
+    rule = ClosedFormRule(b, b, a, a)
+    for value in (rule.b_first, rule.b_rest, rule.a_slope, rule.a_intercept):
+        assert type(value) is Fraction
+    assert (rule.b_first, rule.a_slope) == (Fraction(b), Fraction(a))
+
+
+@pytest.mark.parametrize("zero", [0, F(0), 0.0, -0.0, _Ratio(0)])
+def test_a_zero_partial_numerator_is_refused_whatever_its_type(zero):
+    for build in (lambda: Term(F(3), zero), lambda: ClosedFormRule(zero, 1, 2, -1).term(1),
+                  lambda: ClosedFormRule(1, zero, 2, -1).term(2)):
+        with pytest.raises(ValueError) as refusal:
+            build()
+        assert str(refusal.value) == "partial numerator must be nonzero"

@@ -356,9 +356,11 @@ class _Walk:
 class _GapBound:
     """c_n = h_n/k_n within the determinant gap P_n/(k_n k_{n-1}), on a walk of ``cf``.
 
-    ``stop(tol)`` is a stop test for ``_Walk.run`` that keeps in ``last`` the
-    deepest state it has seen with a bound; ``_parts(state)`` = (a, b, c, d)
-    gives that state's value a/b and bound c/(b d), with b, d > 0 and c >= 0.
+    ``refine`` is its interface: it resumes the walk to a tolerance and
+    returns the enclosure (a, b, c, d, depth), the value a/b within the bound
+    c/(b d), with b, d > 0 and c >= 0.  ``stop(tol)`` is its stop test for
+    ``_Walk.run``; it keeps in ``last`` the deepest state it has seen with a
+    bound, and ``_enclosure(state)`` reads a state's enclosure.
     """
 
     last = None
@@ -382,22 +384,25 @@ class _GapBound:
 
         return stop
 
-    def _parts(self, state: tuple) -> tuple[int, int, int, int]:
-        _, _, h, k_prev, k, p = state
-        return h, k, p, k_prev
+    def _enclosure(self, state: tuple) -> tuple[int, int, int, int, int]:
+        n, _, h, k_prev, k, p = state
+        return h, k, p, k_prev, n
 
-    def refine(self, tol: Fraction, max_depth: int) -> None:
-        """Resume the walk until the bound meets ``tol`` (DepthCapError past ``max_depth``)."""
-        if not self.walk.run(self.stop(tol), max_depth):
-            raise DepthCapError(
-                f"tolerance {tol} not reached within {max_depth} terms", best=self.result()
-            )
+    def refine(self, tol: Fraction, max_depth: int) -> tuple[int, int, int, int, int]:
+        """Resume the walk until the bound meets ``tol`` and return the enclosure there.
 
-    def result(self) -> ApproximationResult | None:
-        if self.last is None:
-            return None
-        a, b, c, d = self._parts(self.last)
-        return ApproximationResult(Fraction(a, b), Fraction(c, b * d), self.last[0])
+        Past ``max_depth`` terms raises DepthCapError, whose ``best`` is the
+        deepest state with a bound, or None if no state had one.
+        """
+        if self.walk.run(self.stop(tol), max_depth):
+            return self._enclosure(self.last)
+        best = None if self.last is None else _approximation(*self._enclosure(self.last))
+        raise DepthCapError(f"tolerance {tol} not reached within {max_depth} terms", best=best)
+
+
+def _approximation(a: int, b: int, c: int, d: int, depth: int) -> ApproximationResult:
+    """The enclosure a/b within c/(b d) at ``depth`` as an ApproximationResult."""
+    return ApproximationResult(Fraction(a, b), Fraction(c, b * d), depth)
 
 
 def terms(cf: ContinuedFraction, count: int) -> list[Term]:
@@ -445,11 +450,10 @@ def evaluate(
         raise ValueError("max_depth must be >= 1")
     bound = _GapBound(cf)
     try:
-        bound.refine(tol, max_depth)
+        return _approximation(*bound.refine(tol, max_depth))
     except ExpansionExhaustedError:
         n, _, h, _, k, _ = bound.walk.state
-        return ApproximationResult(Fraction(h, k), Fraction(0), n)
-    return bound.result()
+        return _approximation(h, k, 0, 1, n)
 
 
 Scales = Union[Fraction, int, Callable[[int], Fraction]]

@@ -29,6 +29,7 @@ from .core import (
     ContinuedFraction,
     EPatternRule,
     _GapBound,
+    _approximation,
     _compare_products,
     equivalence_transform,
     evaluate,
@@ -99,8 +100,7 @@ class _ExpBound(_GapBound):
     """
 
     def __init__(self, x: int, y: int):
-        g = gcd(abs(x), 2 * y)
-        super().__init__(tanh_integer_cf(abs(x) // g, 2 * y // g))
+        super().__init__(_reduced_tanh_cf(abs(x), 2 * y))
         self.negative = x < 0
 
     def stop(self, tol: Fraction):
@@ -131,10 +131,10 @@ class _ExpBound(_GapBound):
 
         return stop
 
-    def _parts(self, state):
-        _, _, h, k_prev, k, p = state
+    def _enclosure(self, state):
+        n, _, h, k_prev, k, p = state
         m = k + h if self.negative else k - h
-        return 2 * k - m, m, 2 * p * k, m * k_prev - p
+        return 2 * k - m, m, 2 * p * k, m * k_prev - p, n
 
 
 def exp_rational(
@@ -145,10 +145,11 @@ def exp_rational(
 ) -> ApproximationResult:
     """e^(x/y) with a certified error bound at most ``tol``.
 
-    Evaluates t = tanh(|x|/(2y)) from the integer-term expansion and forms
-    (1 + t)/(1 - t); for x < 0 the reciprocal (1 - t)/(1 + t) is used, which
-    is exact by e^-r = 1/e^r.  The doubled denominator keeps all terms
-    integral and lands on e^(x/y) directly.
+    A one-tolerance read of ``certified_enclosures``, which checks the
+    arguments.  It evaluates t = tanh(|x|/(2y)) from the integer-term
+    expansion and forms (1 + t)/(1 - t); for x < 0 the reciprocal
+    (1 - t)/(1 + t) is used, which is exact by e^-r = 1/e^r.  The doubled
+    denominator keeps all terms integral and lands on e^(x/y) directly.
 
     The bound is exact interval propagation: with the true tanh inside
     [t - eps, t + eps] (bracketing of consecutive convergents), the image of
@@ -161,37 +162,36 @@ def exp_rational(
 
     y must be >= 1; any integer x is accepted (x = 0 gives exactly 1).
     """
-    if y < 1:
-        raise DomainError("y must be a positive integer")
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if x == 0:
-        return ApproximationResult(Fraction(1), Fraction(0), 0)
-    bound = _ExpBound(x, y)
-    bound.refine(tol, max_depth)
-    return bound.result()
+    (enclosure,) = certified_enclosures("exp", x, y, [tol], max_depth)
+    return _approximation(*enclosure)
 
 
-def certified_enclosures(expr: str, x: int, y: int, tolerances):
+def certified_enclosures(expr: str, x: int, y: int, tolerances, max_depth: int = DEPTH_CAP):
     """Enclosures of exp(x/y) or tanh(x/y), one per tolerance, from one walk.
 
-    ``tolerances`` must not increase.  For each this yields (a, b, c, d,
-    depth): the value a/b and the bound c/(b d), with b, d > 0 and c >= 0,
-    that exp_rational or tanh_rational reports for that tolerance, and its
-    depth.  The walk resumes from there for the next tolerance: every depth
-    before it had a bound above the last tolerance.  Arguments are checked
-    as there; DepthCapError comes after DEPTH_CAP terms in all.
+    The resumable driver under exp_rational and ``cli.certified_digits``.
+    ``tolerances`` must not increase and may be an endless iterator.  For
+    each this yields (a, b, c, d, depth): the value a/b and the bound
+    c/(b d), with b, d > 0 and c >= 0, that exp_rational or tanh_rational
+    reports for that tolerance, and its depth.  The walk resumes from there
+    for the next tolerance: every depth before it had a bound above the last
+    tolerance.  DepthCapError comes after ``max_depth`` terms in all.
+
+    Checks, in order: ``expr`` is "exp" or "tanh" (DomainError); for exp
+    y >= 1 (DomainError), for tanh x, y >= 1 (DomainError); then, as each
+    tolerance is reached, Fraction(tol) > 0 (ValueError), before the exact
+    enclosure (1, 1, 0, 1, 0) of e^0 is yielded for it.
     """
     if expr == "exp":
         if y < 1:
             raise DomainError("y must be a positive integer")
-        if x == 0:
-            yield from ((1, 1, 0, 1, 0) for _ in tolerances)
-            return
-        bound = _ExpBound(x, y)
-    else:
+        bound = _ExpBound(x, y) if x else None
+    elif expr == "tanh":
         bound = _GapBound(_reduced_tanh_cf(x, y))
+    else:
+        raise DomainError(f"expr must be 'exp' or 'tanh', not {expr!r}")
     for tol in tolerances:
-        bound.refine(tol, DEPTH_CAP)
-        yield (*bound._parts(bound.last), bound.last[0])
+        tol = Fraction(tol)
+        if tol <= 0:
+            raise ValueError("tol must be > 0")
+        yield bound.refine(tol, max_depth) if bound else (1, 1, 0, 1, 0)

@@ -11,6 +11,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -157,6 +158,10 @@ def test_convergents_match_the_reference_step(cf, depth):
 
 @PROPERTY
 @given(st.integers(-300, 300), st.integers(-2, 60), tolerances, max_depths)
+@example(0, 0, F(0), DEPTH_CAP)  # y is checked before tol
+@example(0, 1, F(0), DEPTH_CAP)  # tol is checked before the x = 0 arm
+@example(3, 1, F(-1, 10), DEPTH_CAP)
+@example(1, 1, F(1, 10**9), 1)  # depth 1 sits on the pole: best is None
 def test_exp_rational_matches_reference(x, y, tol, max_depth):
     got = outcome(exp_rational, x, y, tol, max_depth)
     assert got == outcome(reference_exp_rational, x, y, tol, max_depth)
@@ -190,6 +195,50 @@ def test_enclosures_resume_where_a_fresh_evaluation_stops(expr, x, y, exponents)
             want.value - want.error_bound,
             want.value + want.error_bound,
         )
+
+
+@pytest.mark.parametrize("expr", ["exp", "tanh"])
+@pytest.mark.parametrize("bad", [0, F(-1, 10), -5])
+@pytest.mark.parametrize("good", [[], [F(1, 10)]])
+def test_enclosures_refuse_non_positive_tolerances_before_walking(monkeypatch, expr, bad, good):
+    walk = core._Walk.run
+    runs = []
+
+    def run(self, stop, max_depth):
+        # Only the good tolerances may walk; a walk to a bad one would not end soon.
+        assert len(runs) < len(good), "walked toward a tolerance that should be refused"
+        runs.append(max_depth)
+        return walk(self, stop, max_depth)
+
+    monkeypatch.setattr(core._Walk, "run", run)
+    enclosures = certified_enclosures(expr, 1, 2, [*good, bad])
+    for _ in good:
+        assert next(enclosures)[4] >= 1
+    with pytest.raises(ValueError, match=r"^tol must be > 0$"):
+        next(enclosures)
+
+
+@pytest.mark.parametrize("expr", ["exp", "tanh"])
+def test_enclosures_read_a_float_tolerance_as_its_exact_fraction(expr):
+    assert list(certified_enclosures(expr, 1, 2, [0.1])) == list(
+        certified_enclosures(expr, 1, 2, [F(0.1)])
+    )
+
+
+def test_enclosures_of_exp_at_zero_check_each_tolerance_first():
+    enclosures = certified_enclosures("exp", 0, 1, [F(1), F(0)])
+    assert next(enclosures) == (1, 1, 0, 1, 0)
+    with pytest.raises(ValueError, match=r"^tol must be > 0$"):
+        next(enclosures)
+
+
+@pytest.mark.parametrize("expr", ["sin", "EXP", ""])
+def test_an_unknown_expression_is_refused(expr):
+    message = f"^expr must be 'exp' or 'tanh', not '{expr}'$"
+    with pytest.raises(DomainError, match=message):
+        next(certified_enclosures(expr, 1, 2, [F(1, 10)]))
+    with pytest.raises(DomainError, match=message):
+        cli.certified_digits(expr, 1, 2, 5)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,11 +7,19 @@ code, stdout and stderr are hashed.  A certificates request runs
 (``bench.workloads.tamper_certificate``), then runs ``verify FILE``; its digest
 also covers the file as written.  The ``cli`` section covers ``--help`` of the
 program and of each subcommand and three usage errors, and the ``demos``
-section the output of each script in ``demos/``.
+section the output of each script in ``demos/``.  The ``library`` section calls
+the evaluators directly at bench sizes: for each distinct ``digits`` request
+``exp_rational`` or ``tanh_rational`` at tolerance 10^-(N+2) for N digits, the
+same with ``max_depth=5``, and ``certified_enclosures`` at 10^-(N+2), 10^-(N+6)
+and 10^-(N+10); then ``evaluate`` on e at 10^-k and on a list that runs out.
+Each returned integer is hashed in hex, so no int-str limit applies; an
+exception is hashed by its type, its message and the ``best`` it carries.
 
 Usage: ``python tools/outputs.py [SECTION ...] [--seeds N ...]``, where a
-section is a workload name, ``cli`` or ``demos`` (default: all of them) and the
-seeds default to 1 2 3.  Each line reads ``<exit codes>  <digest>  <request>``.
+section is a workload name, ``cli``, ``demos`` or ``library`` (default: all of
+them) and the seeds default to 1 2 3.  Each line reads
+``<exit codes>  <digest>  <request>``; in ``library`` the codes are ``ok`` or
+the type of the exception, one per call.
 The tool imports ``cfrac`` from the ``src/`` and ``bench`` from the checkout it
 sits in, reads nothing else there and writes only to a temporary directory.
 To compare two commits, copy it into the other checkout, run it in both and
@@ -31,6 +39,7 @@ import runpy
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,8 +47,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from bench.workloads import WORKLOADS, build_cycle, tamper_certificate  # noqa: E402
 from cfrac import cli  # noqa: E402
+from cfrac.core import ContinuedFraction, ExplicitListRule, Term, evaluate  # noqa: E402
+from cfrac.expansions import (  # noqa: E402
+    certified_enclosures,
+    e_simple_cf,
+    exp_rational,
+    tanh_rational,
+)
 
-SECTIONS = (*WORKLOADS, "cli", "demos")
+SECTIONS = (*WORKLOADS, "cli", "demos", "library")
 SUBCOMMANDS = ("convergents", "digits", "certify", "verify")
 
 
@@ -125,6 +141,57 @@ def _demo_lines(rec: _Recorder) -> list[str]:
     return lines
 
 
+def _hex(value) -> str:
+    """``value`` with every integer in hex: the int-str limit applies only to decimal."""
+    if isinstance(value, int):
+        return hex(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator:x}/{value.denominator:x}"
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join(map(_hex, value)) + ")"
+    if value is None:
+        return "None"
+    return _hex((value.value, value.error_bound, value.depth))  # an ApproximationResult
+
+
+def _outcome(fn, *args) -> tuple[str, list[str]]:
+    """("ok", [fields]) for what ``fn`` returned, or (type, [message, best]) for what it raised."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # any exception is an outcome to record, not a tool failure
+        return type(exc).__name__, [str(exc), _hex(getattr(exc, "best", None))]
+    return "ok", [_hex(result)]
+
+
+def _library_lines(seeds) -> list[str]:
+    lines, seen = [], set()
+    for seed in seeds:
+        for request in build_cycle("digits", seed):
+            options = dict(zip(request.argv[1::2], request.argv[2::2]))
+            expr, x, y, n = (options["--expr"], int(options["--x"]), int(options["--y"]),
+                             int(options["--digits"]))
+            if (expr, x, y, n) in seen:
+                continue
+            seen.add((expr, x, y, n))
+            evaluator = exp_rational if expr == "exp" else tanh_rational
+            tolerances = [Fraction(1, 10 ** (n + extra)) for extra in (2, 6, 10)]
+            outcomes = [
+                _outcome(evaluator, x, y, tolerances[0]),
+                _outcome(evaluator, x, y, tolerances[0], 5),
+                _outcome(lambda: list(certified_enclosures(expr, x, y, tolerances))),
+            ]
+            codes, fields = zip(*outcomes)
+            label = f"{expr} x={x} y={y} digits={n}"
+            lines.append(_line(codes, [f for call in fields for f in call], label))
+    finite = ContinuedFraction(Fraction(1), ExplicitListRule((Term(2, 1), Term(3, 1), Term(4, 1))))
+    cases = [(f"evaluate e 10^-{k}", e_simple_cf(), Fraction(1, 10**k)) for k in (1, 10, 100, 1000)]
+    cases.append(("evaluate [1; 2, 3, 4] 10^-100", finite, Fraction(1, 10**100)))
+    for label, cf, tol in cases:
+        code, fields = _outcome(evaluate, cf, tol)
+        lines.append(_line([code], fields, label))
+    return lines
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sections", nargs="*", metavar="SECTION")
@@ -141,6 +208,8 @@ def main(argv=None) -> None:
                 lines = _cli_lines(rec)
             elif section == "demos":
                 lines = _demo_lines(rec)
+            elif section == "library":
+                lines = _library_lines(args.seeds)
             else:
                 lines = _workload_lines(rec, section, args.seeds)
             for line in lines:

@@ -27,7 +27,8 @@ walked in base-10 integers (``decimal.Decimal`` under an exact context), which
 print in linear time; a row that would print an integer past the
 interpreter's limit fails as str() of that integer would.  Each row is also
 built in time linear in its digits: the gap denominator k_n k_{n-1} comes
-from a recurrence with term-sized multipliers (``_convergent_rows``), not
+from a recurrence with term-sized multipliers (``_convergent_rows``, a
+``zip`` of the states of ``core._walk`` with the terms that made them), not
 from a full-size product, and the rows are written by one format per table,
 text or JSON.  Only a tanh row with |D_n| > 1 pays more, a gcd of full-size
 integers to reduce its gap.
@@ -52,13 +53,13 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
+from itertools import count, islice
 from math import gcd
 from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .core import _CHUNK_DIGITS, DEPTH_CAP, _compare_products, _decimal, _integer_terms, _Walk
+from .core import _CHUNK_DIGITS, DEPTH_CAP, _compare_products, _decimal, _integer_terms, _walk
 from .errors import (
     CertificateFormatError,
     DepthCapError,
@@ -281,8 +282,8 @@ def _row_text(n: Decimal, limit: int) -> str:
 def _convergent_rows(cf, depth: int) -> list[dict]:
     """Rows n = 1..depth: h_n/k_n and the gap P_n/(k_n k_{n-1}) in lowest terms.
 
-    The walk holds Decimal integers in an exact context, so every row
-    prints in time linear in its digits, and the gap denominator
+    ``core._walk`` runs in Decimal integers in an exact context, so every
+    row prints in time linear in its digits, and the gap denominator
     Q_n = k_n k_{n-1} is not formed as a full-size product either.  With
     S_n = k_n^2 and k_n = a_n k_{n-1} + b_n k_{n-2}:
 
@@ -290,8 +291,9 @@ def _convergent_rows(cf, depth: int) -> list[dict]:
         S_n = a_n^2 S_{n-1} + 2 a_n b_n Q_{n-1} + b_n^2 S_{n-2}
 
     from k_{-1} = 0 and k_0 = c_0, that is S_{-1} = 0, S_0 = c_0^2 and
-    Q_0 = 0.  The terms come from a second ``_integer_terms(cf)``, advanced
-    in lockstep with the walk's own, so every multiplier is term-sized.
+    Q_0 = 0.  The terms come from a second ``_integer_terms(cf)``, zipped
+    with the walk's states, so every multiplier is term-sized.  The zip pulls
+    the state first: a table of ``depth`` rows never asks for term depth + 1.
 
     By the determinant identity a common divisor of h_n and k_n divides P_n,
     and so does one of P_n and Q_n: a row with P_n = 1 is in lowest terms as
@@ -299,42 +301,32 @@ def _convergent_rows(cf, depth: int) -> list[dict]:
     """
     rows = []
     limit = sys.get_int_max_str_digits()
-    terms = _integer_terms(cf)
     c_0 = cf.leading.denominator
-    carry = (Decimal(0), Decimal(c_0 * c_0), Decimal(0))  # S_{n-2}, S_{n-1}, Q_{n-1}
-
-    def row(state):  # returns None: never stops the walk
-        nonlocal carry
-        n, _, h, _, k, p = state
-        a, b = next(terms)
-        s_2, s_1, q_1 = carry
-        den = a * s_1 + b * q_1
-        carry = s_1, a * a * s_1 + 2 * a * b * q_1 + b * b * s_2, den
-        if p > 1:
-            # gcd(h, k) divides gcd(P, k), which divides g = gcd(P, k k')
-            g = gcd(int(p), int(den % p))
-            if g > 1:
-                p, den = p // g, den // g
-                g = gcd(g, int(h % g), int(k % g))
-                h, k = h // g, k // g
-        gap = _row_text(p, limit)
-        if den != 1:
-            gap = f"{gap}/{_row_text(den, limit)}"
-        rows.append(
-            {
-                "index": n,
-                "h": _row_text(h, limit),
-                "k": _row_text(k, limit),
-                "value": decimal_preview(h, k),
-                "gap": gap,
-            }
-        )
-
-    walk = _Walk(cf)
-    n, *integers = walk.state
-    walk.state = (n, *map(Decimal, integers))
+    s_2, s_1, q_1 = Decimal(0), Decimal(c_0 * c_0), Decimal(0)  # S_{n-2}, S_{n-1}, Q_{n-1}
     with localcontext(_EXACT):
-        walk.run(row, depth)
+        states = islice(_walk(cf, num=Decimal), 1, depth + 1)
+        for (n, _, h, _, k, p), (a, b) in zip(states, _integer_terms(cf)):
+            den = a * s_1 + b * q_1
+            s_2, s_1, q_1 = s_1, a * a * s_1 + 2 * a * b * q_1 + b * b * s_2, den
+            if p > 1:
+                # gcd(h, k) divides gcd(P, k), which divides g = gcd(P, k k')
+                g = gcd(int(p), int(den % p))
+                if g > 1:
+                    p, den = p // g, den // g
+                    g = gcd(g, int(h % g), int(k % g))
+                    h, k = h // g, k // g
+            gap = _row_text(p, limit)
+            if den != 1:
+                gap = f"{gap}/{_row_text(den, limit)}"
+            rows.append(
+                {
+                    "index": n,
+                    "h": _row_text(h, limit),
+                    "k": _row_text(k, limit),
+                    "value": decimal_preview(h, k),
+                    "gap": gap,
+                }
+            )
     return rows
 
 

@@ -20,13 +20,14 @@ with D_0 = -1, so for positive terms consecutive convergents alternate around
 the limit, and the determinant gap |c_n - c_{n-1}| = |b_1...b_n|/(k_n k_{n-1})
 is a certified two-sided error bound during evaluation.
 
-Every evaluator is a view of one integer engine, ``_Walk``.  The equivalence
-transform with scales c_0 = den(a0), c_i = den(a_i) den(b_i) clears the terms
-to integers and multiplies h_n and k_n by c_0...c_n, so no convergent
-changes; the walk holds (n, h_{n-1}, h_n, k_{n-1}, k_n, P_n) with P_n = |D_n|.
-It only adds, multiplies and compares, so the state may be any exact integer
-type: the convergent tables of ``cli`` seed it with ``decimal.Decimal``
-integers under an exact context, which print in linear time.
+Every evaluator is a view of one integer engine, ``_walk``, a generator of
+the states (n, h_{n-1}, h_n, k_{n-1}, k_n, P_n) with P_n = |D_n|.  The
+equivalence transform with scales c_0 = den(a0), c_i = den(a_i) den(b_i)
+clears the terms to integers and multiplies h_n and k_n by c_0...c_n, so no
+convergent changes.  It only adds, multiplies and compares, so the state may
+be any exact integer type: the convergent tables of ``cli`` walk it in
+``decimal.Decimal`` integers under an exact context, which print in linear
+time.
 Stopping tests cross-multiply: gap <= p/q is P_n q <= p k_n k_{n-1}.  A
 bit-length test may reject a step before multiplying; bit lengths fix a
 product only within a factor of two, so that test is a necessary condition
@@ -36,8 +37,6 @@ each factor bracket each product, and only brackets that overlap are
 multiplied out.  Either way the answer is that of the exact comparison, so
 no depth depends on the filter.  Fractions are built only for results;
 ``_decimal`` prints an int of any size, past the interpreter's int-str limit.
-A walk resumes where it stopped and re-tests that state first, so a smaller
-tolerance stops at the depth a fresh walk would.
 
 Expansions are immutable values, safe to share and evaluate concurrently; a
 walk belongs to the one evaluation that made it.
@@ -48,7 +47,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 from math import prod
 from typing import Callable, Union
 
@@ -308,49 +307,28 @@ def _decimal(n: int) -> str:
     return _zero_padded(n, n.bit_length() // 3 + 1).lstrip("0") or "0"
 
 
-class _Walk:
-    """The integer engine: a resumable walk of the recurrence over ``_integer_terms(cf)``.
+def _walk(cf: ContinuedFraction, positive: bool = True, num=int):
+    """The integer engine: the states of the recurrence over ``_integer_terms(cf)``, from depth 0.
 
-    ``state`` is (n, h_{n-1}, h_n, k_{n-1}, k_n, P_n) with P_n = c_0 b_1' ... b_n',
+    A state is (n, h_{n-1}, h_n, k_{n-1}, k_n, P_n) with P_n = c_0 b_1' ... b_n',
     which is |D_n| for positive terms.  With ``positive``, consuming a term
-    that is not strictly positive raises NonPositiveTermError.  The terms are
-    ints; the five integers of ``state`` may be re-seeded with any exact
-    integer type that adds and multiplies with ints, such as Decimal under a
-    context that traps Inexact.
+    that is not strictly positive raises NonPositiveTermError.  A finite
+    expansion that runs out raises ExpansionExhaustedError after its last
+    state.  The terms are ints; ``num`` converts the five integers of the
+    state at depth 0, and may be any exact integer type that adds and
+    multiplies with ints, such as Decimal under a context that traps Inexact.
     """
-
-    def __init__(self, cf: ContinuedFraction, positive: bool = True):
-        self.cf, self.positive, self._terms = cf, positive, _integer_terms(cf)
-        c_0 = cf.leading.denominator
-        self.state = (0, 1, cf.leading.numerator, 0, c_0, c_0)
-
-    def run(self, stop: Callable[[tuple], bool], max_depth: int) -> bool:
-        """Step until ``stop(state)`` is true or ``max_depth`` terms are consumed.
-
-        Past depth 0 the current state is re-tested first.  Returns whether
-        ``stop`` held.  A finite expansion that runs out raises
-        ExpansionExhaustedError with the state left at its last term.
-        """
-        state = self.state
-        n, h_prev, h, k_prev, k, p = state
-        if n and stop(state):
-            return True
-        terms, positive = self._terms, self.positive
-        try:
-            while n < max_depth:
-                a, b = next(terms)
-                if positive and (a <= 0 or b <= 0):
-                    raise NonPositiveTermError(n + 1, self.cf.term(n + 1))
-                n += 1
-                h_prev, h = h, a * h + b * h_prev
-                k_prev, k = k, a * k + b * k_prev
-                p *= b
-                state = (n, h_prev, h, k_prev, k, p)
-                if stop(state):
-                    return True
-            return False
-        finally:
-            self.state = state
+    c_0 = cf.leading.denominator
+    n, h_prev, h, k_prev, k, p = 0, *map(num, (1, cf.leading.numerator, 0, c_0, c_0))
+    yield n, h_prev, h, k_prev, k, p
+    for a, b in _integer_terms(cf):
+        if positive and (a <= 0 or b <= 0):
+            raise NonPositiveTermError(n + 1, cf.term(n + 1))
+        n += 1
+        h_prev, h = h, a * h + b * h_prev
+        k_prev, k = k, a * k + b * k_prev
+        p *= b
+        yield n, h_prev, h, k_prev, k, p
 
 
 class _GapBound:
@@ -358,15 +336,18 @@ class _GapBound:
 
     ``refine`` is its interface: it resumes the walk to a tolerance and
     returns the enclosure (a, b, c, d, depth), the value a/b within the bound
-    c/(b d), with b, d > 0 and c >= 0.  ``stop(tol)`` is its stop test for
-    ``_Walk.run``; it keeps in ``last`` the deepest state it has seen with a
-    bound, and ``_enclosure(state)`` reads a state's enclosure.
+    c/(b d), with b, d > 0 and c >= 0.  ``walk`` is the ``_walk`` generator
+    and ``state`` the state it stopped at.  ``stop(tol)`` is the stop test
+    ``refine`` applies to each state; it keeps in ``last`` the deepest state
+    it has seen with a bound, and ``_enclosure(state)`` reads a state's
+    enclosure.
     """
 
     last = None
 
     def __init__(self, cf: ContinuedFraction):
-        self.walk = _Walk(cf)
+        self.walk = _walk(cf)
+        self.state = next(self.walk)
 
     def stop(self, tol: Fraction) -> Callable[[tuple], bool]:
         # gap <= p/q is P q <= p k k'.  As bl(P q) >= bl(P) + bl(q) - 1 and
@@ -391,13 +372,26 @@ class _GapBound:
     def refine(self, tol: Fraction, max_depth: int) -> tuple[int, int, int, int, int]:
         """Resume the walk until the bound meets ``tol`` and return the enclosure there.
 
-        Past ``max_depth`` terms raises DepthCapError, whose ``best`` is the
-        deepest state with a bound, or None if no state had one.
+        The walk resumes where it stopped and, past depth 0, re-tests that
+        state first, so a smaller tolerance stops at the depth a fresh walk
+        would.  ``state`` keeps the last state reached, also when a finite
+        expansion runs out.  Past ``max_depth`` terms raises DepthCapError,
+        whose ``best`` is the deepest state with a bound, or None if no state
+        had one; its message writes ``tol`` as str() would, at any size.
         """
-        if self.walk.run(self.stop(tol), max_depth):
-            return self._enclosure(self.last)
+        stop, state = self.stop(tol), self.state
+        try:
+            if state[0] and stop(state):
+                return self._enclosure(state)
+            for state in islice(self.walk, max_depth - state[0]):
+                if stop(state):
+                    return self._enclosure(state)
+        finally:
+            self.state = state
         best = None if self.last is None else _approximation(*self._enclosure(self.last))
-        raise DepthCapError(f"tolerance {tol} not reached within {max_depth} terms", best=best)
+        p, q = _decimal(tol.numerator), tol.denominator
+        shown = p if q == 1 else f"{p}/{_decimal(q)}"
+        raise DepthCapError(f"tolerance {shown} not reached within {max_depth} terms", best=best)
 
 
 def _approximation(a: int, b: int, c: int, d: int, depth: int) -> ApproximationResult:
@@ -417,13 +411,7 @@ def convergents(cf: ContinuedFraction, depth: int) -> list[Fraction]:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    out = []
-
-    def record(state):  # returns None: never stops the walk
-        out.append(Fraction(state[2], state[4]))
-
-    _Walk(cf, positive=False).run(record, depth)
-    return out
+    return [Fraction(h, k) for _, _, h, _, k, _ in islice(_walk(cf, positive=False), 1, depth + 1)]
 
 
 def evaluate(
@@ -452,7 +440,7 @@ def evaluate(
     try:
         return _approximation(*bound.refine(tol, max_depth))
     except ExpansionExhaustedError:
-        n, _, h, _, k, _ = bound.walk.state
+        n, _, h, _, k, _ = bound.state
         return _approximation(h, k, 0, 1, n)
 
 

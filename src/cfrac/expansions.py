@@ -179,8 +179,9 @@ def certified_enclosures(expr: str, x: int, y: int, tolerances, max_depth: int =
 
     Checks, in order: ``expr`` is "exp" or "tanh" (DomainError); for exp
     y >= 1 (DomainError), for tanh x, y >= 1 (DomainError); then, as each
-    tolerance is reached, Fraction(tol) > 0 (ValueError), before the exact
-    enclosure (1, 1, 0, 1, 0) of e^0 is yielded for it.
+    tolerance is reached, Fraction(tol) > 0 and max_depth >= 1 (ValueError),
+    the order of ``evaluate``, before the exact enclosure (1, 1, 0, 1, 0) of
+    e^0 is yielded for it.
     """
     if expr == "exp":
         if y < 1:
@@ -194,4 +195,6 @@ def certified_enclosures(expr: str, x: int, y: int, tolerances, max_depth: int =
         tol = Fraction(tol)
         if tol <= 0:
             raise ValueError("tol must be > 0")
+        if max_depth < 1:
+            raise ValueError("max_depth must be >= 1")
         yield bound.refine(tol, max_depth) if bound else (1, 1, 0, 1, 0)

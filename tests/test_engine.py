@@ -201,21 +201,66 @@ def test_enclosures_resume_where_a_fresh_evaluation_stops(expr, x, y, exponents)
 @pytest.mark.parametrize("bad", [0, F(-1, 10), -5])
 @pytest.mark.parametrize("good", [[], [F(1, 10)]])
 def test_enclosures_refuse_non_positive_tolerances_before_walking(monkeypatch, expr, bad, good):
-    walk = core._Walk.run
+    refine = core._GapBound.refine
     runs = []
 
-    def run(self, stop, max_depth):
+    def run(self, tol, max_depth):
         # Only the good tolerances may walk; a walk to a bad one would not end soon.
         assert len(runs) < len(good), "walked toward a tolerance that should be refused"
         runs.append(max_depth)
-        return walk(self, stop, max_depth)
+        return refine(self, tol, max_depth)
 
-    monkeypatch.setattr(core._Walk, "run", run)
+    monkeypatch.setattr(core._GapBound, "refine", run)
     enclosures = certified_enclosures(expr, 1, 2, [*good, bad])
     for _ in good:
         assert next(enclosures)[4] >= 1
     with pytest.raises(ValueError, match=r"^tol must be > 0$"):
         next(enclosures)
+
+
+_BOUNDED_CALLS = [
+    pytest.param(lambda tol, m: exp_rational(1, 1, tol, m), id="exp x=1"),
+    pytest.param(lambda tol, m: exp_rational(0, 1, tol, m), id="exp x=0"),
+    pytest.param(lambda tol, m: tanh_rational(1, 1, tol, m), id="tanh"),
+    pytest.param(lambda tol, m: next(certified_enclosures("exp", 1, 1, [tol], m)), id="enclosures exp"),
+    pytest.param(lambda tol, m: next(certified_enclosures("tanh", 1, 1, [tol], m)), id="enclosures tanh"),
+    pytest.param(lambda tol, m: evaluate(e_simple_cf(), tol, m), id="evaluate"),
+]
+
+
+@pytest.mark.parametrize("call", _BOUNDED_CALLS)
+@pytest.mark.parametrize("max_depth", [0, -3])
+def test_a_max_depth_below_one_is_refused_before_walking(monkeypatch, call, max_depth):
+    def refine(self, tol, max_depth):
+        raise AssertionError("walked with a max_depth that should be refused")
+
+    monkeypatch.setattr(core._GapBound, "refine", refine)
+    with pytest.raises(ValueError, match=r"^max_depth must be >= 1$"):
+        call(F(1, 100), max_depth)
+    with pytest.raises(ValueError, match=r"^tol must be > 0$"):
+        call(F(0), max_depth)
+
+
+@pytest.mark.parametrize(
+    "evaluator,args,max_depth",
+    [(exp_rational, (1, 2), 5), (tanh_rational, (1, 2), 3), (evaluate, (e_simple_cf(),), 3)],
+)
+def test_a_depth_cap_past_the_int_str_limit_keeps_its_type_and_best(evaluator, args, max_depth):
+    # str() of a Fraction with a 5001-digit denominator raises ValueError.
+    with pytest.raises(DepthCapError) as tiny:
+        evaluator(*args, F(1, 10**5000), max_depth)
+    with pytest.raises(DepthCapError) as small:
+        evaluator(*args, F(1, 10**100), max_depth)
+    assert str(tiny.value) == f"tolerance 1/1{'0' * 5000} not reached within {max_depth} terms"
+    assert tiny.value.best is not None
+    assert _fields(tiny.value.best) == _fields(small.value.best)
+
+
+def test_a_depth_cap_writes_a_whole_tolerance_as_str_does():
+    # e^1000 stays at the pole of the exp map for its first terms: no bound, no best.
+    with pytest.raises(DepthCapError, match=r"^tolerance 1 not reached within 3 terms$") as info:
+        exp_rational(1000, 1, F(1), 3)
+    assert info.value.best is None
 
 
 @pytest.mark.parametrize("expr", ["exp", "tanh"])
@@ -333,3 +378,32 @@ def test_exp_at_ten_thousand_digit_tolerance_keeps_its_depth():
     assert got.depth == 1497
     assert got.error_bound <= F(1, 10**10002)
     assert elapsed < 1.0, f"took {elapsed:.3f} s"
+
+
+def test_a_resumed_walk_pulls_each_term_once(monkeypatch):
+    # A walk rebuilt every refinement round would print the same digits at
+    # quadratic cost; only the number of terms pulled tells them apart.
+    pulled = []
+    integer_terms = core._integer_terms
+
+    def counted(cf):
+        for term in integer_terms(cf):
+            pulled.append(term)
+            yield term
+
+    monkeypatch.setattr(core, "_integer_terms", counted)
+    monkeypatch.setattr(cli, "_integer_terms", counted)
+    for expr, x, y, digits, depth in (
+        ("tanh", 1000, 1, 10, 1510),
+        ("exp", 1, 1, 1000, 204),
+        ("exp", -40, 1, 1000, 417),
+    ):
+        pulled.clear()
+        assert cli.certified_digits(expr, x, y, digits)[2] == depth
+        assert len(pulled) == depth
+    pulled.clear()
+    assert len(convergents(e_simple_cf(), 300)) == 300
+    assert len(pulled) == 300
+    pulled.clear()
+    assert len(cli._convergent_rows(tanh_integer_cf(7, 3), 300)) == 300
+    assert len(pulled) == 600  # the walk's terms and the rows' own

@@ -11,7 +11,10 @@ section the output of each script in ``demos/``.  The ``library`` section calls
 the evaluators directly at bench sizes: for each distinct ``digits`` request
 ``exp_rational`` or ``tanh_rational`` at tolerance 10^-(N+2) for N digits, the
 same with ``max_depth=5``, and ``certified_enclosures`` at 10^-(N+2), 10^-(N+6)
-and 10^-(N+10); then ``evaluate`` on e at 10^-k and on a list that runs out.
+and 10^-(N+10); then ``evaluate`` on e at 10^-k and on a list that runs out,
+and the edge arms of the engine: ``convergents`` of e and of tanh(x/y), with
+x/y reduced and not, and of a list at its length and one past it,
+``evaluate`` on an empty list and on a list with a negative term.
 Each returned integer is hashed in hex, so no int-str limit applies; an
 exception is hashed by its type, its message and the ``best`` it carries.
 
@@ -47,11 +50,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from bench.workloads import WORKLOADS, build_cycle, tamper_certificate  # noqa: E402
 from cfrac import cli  # noqa: E402
-from cfrac.core import ContinuedFraction, ExplicitListRule, Term, evaluate  # noqa: E402
+from cfrac.core import ContinuedFraction, ExplicitListRule, Term, convergents, evaluate  # noqa: E402
 from cfrac.expansions import (  # noqa: E402
     certified_enclosures,
     e_simple_cf,
     exp_rational,
+    tanh_integer_cf,
     tanh_rational,
 )
 
@@ -183,11 +187,23 @@ def _library_lines(seeds) -> list[str]:
             codes, fields = zip(*outcomes)
             label = f"{expr} x={x} y={y} digits={n}"
             lines.append(_line(codes, [f for call in fields for f in call], label))
-    finite = ContinuedFraction(Fraction(1), ExplicitListRule((Term(2, 1), Term(3, 1), Term(4, 1))))
-    cases = [(f"evaluate e 10^-{k}", e_simple_cf(), Fraction(1, 10**k)) for k in (1, 10, 100, 1000)]
-    cases.append(("evaluate [1; 2, 3, 4] 10^-100", finite, Fraction(1, 10**100)))
-    for label, cf, tol in cases:
-        code, fields = _outcome(evaluate, cf, tol)
+
+    def listed(*terms):
+        return ContinuedFraction(Fraction(1), ExplicitListRule(Term(a, 1) for a in terms))
+
+    finite, tiny = listed(2, 3, 4), Fraction(1, 10**100)
+    cases = [(f"evaluate e 10^-{k}", evaluate, e_simple_cf(), Fraction(1, 10**k))
+             for k in (1, 10, 100, 1000)]
+    cases.append(("evaluate [1; 2, 3, 4] 10^-100", evaluate, finite, tiny))
+    cases += [(f"convergents e {n}", convergents, e_simple_cf(), n) for n in (1, 300, 2000)]
+    cases += [(f"convergents tanh({x}/{y}) 300", convergents, tanh_integer_cf(x, y), 300)
+              for x, y in ((7, 3), (12, 18))]
+    cases += [(f"convergents [1; 2, 3, 4] {n}", convergents, finite, n) for n in (3, 4)]
+    empty = ContinuedFraction(Fraction(5, 3), ExplicitListRule(()))
+    cases.append(("evaluate [5/3] 10^-100", evaluate, empty, tiny))
+    cases.append(("evaluate [1; 2, -3, 4] 10^-100", evaluate, listed(2, -3, 4), tiny))
+    for label, fn, *args in cases:
+        code, fields = _outcome(fn, *args)
         lines.append(_line([code], fields, label))
     return lines
 

@@ -20,18 +20,27 @@ with D_0 = -1, so for positive terms consecutive convergents alternate around
 the limit, and the determinant gap |c_n - c_{n-1}| = |b_1...b_n|/(k_n k_{n-1})
 is a certified two-sided error bound during evaluation.
 
-Every evaluator is a view of one integer engine, ``_walk``, a generator of
-the states (n, h_{n-1}, h_n, k_{n-1}, k_n, P_n) with P_n = |D_n|.  The
-equivalence transform with scales c_0 = den(a0), c_i = den(a_i) den(b_i)
-clears the terms to integers and multiplies h_n and k_n by c_0...c_n, so no
-convergent changes.  It only adds, multiplies and compares, so the state may
-be any exact integer type: the convergent tables of ``cli`` walk it in
-``decimal.Decimal`` integers under an exact context, which print in linear
-time.
+Every evaluator is a view of one integer recurrence on the states
+(n, h_{n-1}, h_n, k_{n-1}, k_n, P_n) with P_n = |D_n|.  The equivalence
+transform with scales c_0 = den(a0), c_i = den(a_i) den(b_i) clears the terms
+to integers (``_integer_terms``) and multiplies h_n and k_n by c_0...c_n, so
+no convergent changes.  ``_walk`` is the generator of every state, for the
+views that need every row: ``convergents`` and the convergent tables of
+``cli``.  It only adds, multiplies and compares, so the state may be any
+exact integer type: the tables walk it in ``decimal.Decimal`` integers under
+an exact context, which print in linear time.
+
+Certified evaluation (``_GapBound.refine``) needs only the first state that
+meets a tolerance, so it leaps: the terms ahead are folded into a 2x2
+matrix, applied to the state once per chunk, whose bit lengths bound the
+gaps ahead from below; that bound rules out the states that must fail, and
+only the first state it cannot rule out is formed and tested.  Each skipped
+state fails the exact test, and each other one is tested, so every depth is
+that of a step-by-step walk.
 Stopping tests cross-multiply: gap <= p/q is P_n q <= p k_n k_{n-1}.  A
-bit-length test may reject a step before multiplying; bit lengths fix a
+bit-length test may reject a state before multiplying; bit lengths fix a
 product only within a factor of two, so that test is a necessary condition
-for passing, never a sufficient one.  A step it lets through is decided by
+for passing, never a sufficient one.  A state it lets through is decided by
 ``_compare_products``, a filtered exact comparison: the leading 64 bits of
 each factor bracket each product, and only brackets that overlap are
 multiplied out.  Either way the answer is that of the exact comparison, so
@@ -39,7 +48,7 @@ no depth depends on the filter.  Fractions are built only for results;
 ``_decimal`` prints an int of any size, past the interpreter's int-str limit.
 
 Expansions are immutable values, safe to share and evaluate concurrently; a
-walk belongs to the one evaluation that made it.
+walk or a bound belongs to the one evaluation that made it.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 from math import prod
 from typing import Callable, Union
 
@@ -200,28 +209,32 @@ class ApproximationResult:
 
 
 def _integer_terms(cf: ContinuedFraction):
-    """Yield the terms of ``cf`` scaled to integers a_i' = c_i a_i, b_i' = c_i c_{i-1} b_i.
+    """The terms of ``cf`` scaled to integers a_i' = c_i a_i, b_i' = c_i c_{i-1} b_i, as an iterator.
 
     With c_0 = den(a0) and c_i = den(a_i) den(b_i) both are integers with the
-    signs of a_i and b_i.  Integer rules need no scale past c_0 and skip
-    building ``Term`` objects.
+    signs of a_i and b_i.  Integer rules need no scale past c_0: their terms
+    come from ``itertools`` without building ``Term`` objects.
     """
-    rule, c_prev = cf.rule, cf.leading.denominator
+    rule, c_0 = cf.rule, cf.leading.denominator
     if isinstance(rule, EPatternRule):
-        yield 1, c_prev
-        yield from ((rule._a(i), 1) for i in count(2))
-    elif isinstance(rule, ClosedFormRule) and rule.b_first and rule.b_rest and all(
-        q.denominator == 1 for q in (rule.a_slope, rule.a_intercept, rule.b_first, rule.b_rest)
+        return chain([(1, c_0)], zip(map(rule._a, count(2)), repeat(1)))
+    if isinstance(rule, ClosedFormRule) and rule.b_first and rule.b_rest and (
+        rule.a_slope.denominator == rule.a_intercept.denominator
+        == rule.b_first.denominator == rule.b_rest.denominator == 1
     ):
-        slope, intercept, b = int(rule.a_slope), int(rule.a_intercept), int(rule.b_rest)
-        yield slope + intercept, int(rule.b_first) * c_prev
-        yield from ((slope * i + intercept, b) for i in count(2))
-    else:
-        for i in count(1):
-            term = rule.term(i)
-            a, b = term.a, term.b
-            yield a.numerator * b.denominator, b.numerator * a.denominator * c_prev
-            c_prev = a.denominator * b.denominator
+        slope, intercept, b = rule.a_slope.numerator, rule.a_intercept.numerator, rule.b_rest.numerator
+        first = (slope + intercept, rule.b_first.numerator * c_0)
+        return chain([first], zip(count(2 * slope + intercept, slope), repeat(b)))
+    return _scaled_terms(rule, c_0)
+
+
+def _scaled_terms(rule: TermRule, c_prev: int):
+    """Yield the terms of ``rule`` scaled to integers, as ``_integer_terms`` describes."""
+    for i in count(1):
+        term = rule.term(i)
+        a, b = term.a, term.b
+        yield a.numerator * b.denominator, b.numerator * a.denominator * c_prev
+        c_prev = a.denominator * b.denominator
 
 
 #: Leading bits kept of each factor by ``_compare_products``.
@@ -307,6 +320,12 @@ def _decimal(n: int) -> str:
     return _zero_padded(n, n.bit_length() // 3 + 1).lstrip("0") or "0"
 
 
+def _origin(cf: ContinuedFraction) -> tuple:
+    """The state of ``_walk`` at depth 0: (0, h_{-1}, h_0, k_{-1}, k_0, P_0) = (0, 1, c_0 a0, 0, c_0, c_0)."""
+    c_0 = cf.leading.denominator
+    return 0, 1, cf.leading.numerator, 0, c_0, c_0
+
+
 def _walk(cf: ContinuedFraction, positive: bool = True, num=int):
     """The integer engine: the states of the recurrence over ``_integer_terms(cf)``, from depth 0.
 
@@ -315,11 +334,11 @@ def _walk(cf: ContinuedFraction, positive: bool = True, num=int):
     that is not strictly positive raises NonPositiveTermError.  A finite
     expansion that runs out raises ExpansionExhaustedError after its last
     state.  The terms are ints; ``num`` converts the five integers of the
-    state at depth 0, and may be any exact integer type that adds and
-    multiplies with ints, such as Decimal under a context that traps Inexact.
+    state at depth 0 (``_origin``), and may be any exact integer type that
+    adds and multiplies with ints, such as Decimal under a context that traps
+    Inexact.
     """
-    c_0 = cf.leading.denominator
-    n, h_prev, h, k_prev, k, p = 0, *map(num, (1, cf.leading.numerator, 0, c_0, c_0))
+    n, h_prev, h, k_prev, k, p = 0, *map(num, _origin(cf)[1:])
     yield n, h_prev, h, k_prev, k, p
     for a, b in _integer_terms(cf):
         if positive and (a <= 0 or b <= 0):
@@ -331,23 +350,41 @@ def _walk(cf: ContinuedFraction, positive: bool = True, num=int):
         yield n, h_prev, h, k_prev, k, p
 
 
-class _GapBound:
-    """c_n = h_n/k_n within the determinant gap P_n/(k_n k_{n-1}), on a walk of ``cf``.
+#: Terms ``_GapBound._leap`` folds into one 2x2 matrix before it applies the matrix to the state.
+_CHUNK = 16
 
-    ``refine`` is its interface: it resumes the walk to a tolerance and
-    returns the enclosure (a, b, c, d, depth), the value a/b within the bound
-    c/(b d), with b, d > 0 and c >= 0.  ``walk`` is the ``_walk`` generator
-    and ``state`` the state it stopped at.  ``stop(tol)`` is the stop test
-    ``refine`` applies to each state; it keeps in ``last`` the deepest state
-    it has seen with a bound, and ``_enclosure(state)`` reads a state's
-    enclosure.
+
+class _GapBound:
+    """c_n = h_n/k_n within the determinant gap P_n/(k_n k_{n-1}), over the terms of ``cf``.
+
+    ``refine`` is its interface: it resumes to a tolerance and returns the
+    enclosure (a, b, c, d, depth), the value a/b within the bound c/(b d),
+    with b, d > 0 and c >= 0.  ``terms`` is the ``_integer_terms`` iterator
+    and ``state`` the state of ``_walk`` reached so far, from ``_origin``.
+    ``stop(tol)`` is the stop test ``refine`` applies to the states it forms;
+    it keeps in ``last`` the deepest state it has seen with a bound, and
+    ``_enclosure(state)`` reads a state's enclosure.
+
+    The leap bound.  The j terms past state n fold into
+    M = [[a_{n+j}, b_{n+j}], [1, 0]] ... [[a_{n+1}, b_{n+1}], [1, 0]], which
+    maps (k_n, k_{n-1}) to (k_{n+j}, k_{n+j-1}) and (h_n, h_{n-1}) likewise,
+    and P_{n+j} = P_n B_j with B_j = b_{n+1} ... b_{n+j}.  So the gap of
+    state n + j is P_n B_j/(k_{n+j} k_{n+j-1}) with both k's read off M in
+    bit lengths, from M's entries and k_n, k_{n-1}, without forming them.
+    ``_leap`` pulls terms while that gap is provably above tol 2^e, where
+    ``_room(state)`` gives an e such that every later state that passes the
+    stop test at tol has a gap of at most tol 2^e; such states fail, so they
+    are skipped without being formed.  Only the first state the bound cannot
+    rule out is formed and tested, exactly, and no term past it is pulled,
+    so no depth moves.  Below depth ``n_star``, 0 here (``_ExpBound``), each
+    leap is one term long, so every state there is formed and tested.
     """
 
     last = None
+    n_star = 0
 
     def __init__(self, cf: ContinuedFraction):
-        self.walk = _walk(cf)
-        self.state = next(self.walk)
+        self.cf, self.terms, self.state = cf, _integer_terms(cf), _origin(cf)
 
     def stop(self, tol: Fraction) -> Callable[[tuple], bool]:
         # gap <= p/q is P q <= p k k'.  As bl(P q) >= bl(P) + bl(q) - 1 and
@@ -365,33 +402,89 @@ class _GapBound:
 
         return stop
 
+    def _room(self, state: tuple) -> int:
+        """e such that every state past ``state`` that passes ``stop(tol)`` has gap <= tol 2^e."""
+        return 0
+
     def _enclosure(self, state: tuple) -> tuple[int, int, int, int, int]:
         n, _, h, k_prev, k, p = state
         return h, k, p, k_prev, n
 
-    def refine(self, tol: Fraction, max_depth: int) -> tuple[int, int, int, int, int]:
-        """Resume the walk until the bound meets ``tol`` and return the enclosure there.
+    def _leap(self, depth: int, p_tol: int, q_tol: int) -> tuple:
+        """Pull terms while the leap bound rules out the state reached, up to ``depth``; form that state.
 
-        The walk resumes where it stopped and, past depth 0, re-tests that
-        state first, so a smaller tolerance stops at the depth a fresh walk
+        The states are ruled out at tol = p_tol/q_tol.  The state reached is
+        stored, also when a term is refused or a finite expansion runs out,
+        and returned.  M is applied to the state every _CHUNK terms.  A leap
+        to the next depth has no state to rule out and is one step of
+        ``_walk``.
+        """
+        n, h_prev, h, k_prev, k, p = state = self.state
+        if depth == n + 1:
+            a, b = next(self.terms)
+            if a <= 0 or b <= 0:
+                raise NonPositiveTermError(n + 1, self.cf.term(n + 1))
+            self.state = n + 1, h, a * h + b * h_prev, k, a * k + b * k_prev, p * b
+            return self.state
+        pull, room, chunk = self.terms.__next__, self._room(state), True
+        while chunk:
+            n, h_prev, h, k_prev, k, p = self.state
+            # State n + j is ruled out when P_n B_j q > p 2^e k_{n+j} k_{n+j-1}.  As
+            # k_{n-1} < k_n/2^sh, k_{n+j} < k_n (m00 2^sh + m01)/2^sh < 2^(bl(k_n) - sh + E_0)
+            # with E_0 = bl(m00 2^sh + m01), and likewise k_{n+j-1} < 2^(bl(k_n) - sh + E_1)
+            # from the second row, which is the first row one term before (E_1 = sh
+            # at j = 1).  So it is ruled out when bl(B_j) - E_0 - E_1 >= need.  These
+            # bit lengths fix both sides within 12 bits in all, so 12 bits or more
+            # short of that it cannot be; in between, leading bits decide, as in
+            # ``_compare_products``.
+            bk, sh = k.bit_length(), max(k.bit_length() - k_prev.bit_length() - 1, 0)
+            need = p_tol.bit_length() - q_tol.bit_length() - p.bit_length() + room + 2 * (bk - sh) + 3
+            m00, m01, m10, m11, u, j, e, zone, end, chunk = 1, 0, 0, 1, 1, 0, sh, None, depth - n, False
+            last = min(end, _CHUNK)
+            try:
+                while j < last:
+                    a, b = pull()
+                    if a <= 0 or b <= 0:
+                        raise NonPositiveTermError(n + j + 1, self.cf.term(n + j + 1))
+                    j += 1
+                    m00, m10 = a * m00 + b * m10, m00
+                    m01, m11 = a * m01 + b * m11, m01
+                    u, e_prev, e = u * b, e, ((m00 << sh) + m01).bit_length()
+                    margin = u.bit_length() - e - e_prev - need
+                    if margin < 0:
+                        if zone is None and margin > -12:
+                            # k_n <= kh 2^s and k_{n-1} <= kh_prev 2^s
+                            (low, _, e_low), (_, high, e_high) = _bracket((p, q_tol)), _bracket((p_tol,))
+                            _, kh, s = _bracket((k,))
+                            kh_prev, zone = (k_prev >> s) + (s > 0), e_low - e_high - 2 * s - room
+                        if margin <= -12 or not _below(
+                                high * (m00 * kh + m01 * kh_prev) * (m10 * kh + m11 * kh_prev), 0, u * low, zone):
+                            break
+                else:
+                    chunk = j < end
+            finally:
+                self.state = (n + j, m10 * h + m11 * h_prev, m00 * h + m01 * h_prev,
+                              m10 * k + m11 * k_prev, m00 * k + m01 * k_prev, p * u)
+        return self.state
+
+    def refine(self, tol: Fraction, max_depth: int) -> tuple[int, int, int, int, int]:
+        """Resume until the bound meets ``tol`` and return the enclosure there.
+
+        Resumes where it stopped and, past depth 0, re-tests that state
+        first, so a smaller tolerance stops at the depth a fresh evaluation
         would.  ``state`` keeps the last state reached, also when a finite
         expansion runs out.  Past ``max_depth`` terms raises DepthCapError,
         whose ``best`` is the deepest state with a bound, or None if no state
         had one; its message writes ``tol`` as str() would, at any size.
         """
-        stop, state = self.stop(tol), self.state
-        try:
-            if state[0] and stop(state):
-                return self._enclosure(state)
-            for state in islice(self.walk, max_depth - state[0]):
-                if stop(state):
-                    return self._enclosure(state)
-        finally:
-            self.state = state
-        best = None if self.last is None else _approximation(*self._enclosure(self.last))
-        p, q = _decimal(tol.numerator), tol.denominator
-        shown = p if q == 1 else f"{p}/{_decimal(q)}"
-        raise DepthCapError(f"tolerance {shown} not reached within {max_depth} terms", best=best)
+        stop, state, p_tol, q_tol = self.stop(tol), self.state, tol.numerator, tol.denominator
+        while not (state[0] and stop(state)):
+            if state[0] >= max_depth:
+                best = self.last and _approximation(*self._enclosure(self.last))
+                shown = _decimal(p_tol) + ("" if q_tol == 1 else f"/{_decimal(q_tol)}")
+                raise DepthCapError(f"tolerance {shown} not reached within {max_depth} terms", best=best)
+            state = self._leap(max_depth if state[0] >= self.n_star else state[0] + 1, p_tol, q_tol)
+        return self._enclosure(state)
 
 
 def _approximation(a: int, b: int, c: int, d: int, depth: int) -> ApproximationResult:

@@ -20,7 +20,7 @@ and evaluated at the half argument r = x/(2y).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .core import (
     DEPTH_CAP,
@@ -89,19 +89,39 @@ def tanh_rational(
 
 
 class _ExpBound(_GapBound):
-    """e^(x/y) = (1 + t)/(1 - t), or (1 - t)/(1 + t) for x < 0, on the walk of t = h/k.
+    """e^(x/y) = (1 + t)/(1 - t), or (1 - t)/(1 + t) for x < 0, at t = h/k.
 
-    The gap bound of t = tanh(|x|/(2y)), in lowest terms (x != 0), pushed
-    through the exp map.  With the gap eps = P/(k k') and m = k - h (k + h
-    for x < 0), the value is (2k - m)/m and the propagated bound
+    The gap bound of t = tanh(X/Y), X/Y = |x|/(2y) in lowest terms (x != 0),
+    pushed through the exp map.  With the gap eps = P/(k k') and m = k - h
+    (k + h for x < 0), the value is (2k - m)/m and the propagated bound
     2 eps/((1 -+ t)(1 -+ t - eps)) is 2 P k/(m (m k' - P)).  A state with
     t + eps >= 1, that is P >= (k - h) k', has no bound: its interval
     reaches the pole.
+
+    A passing state has 0 <= t < t + eps < 1, so its gap eps is below
+    tol 2^e for the e of ``_room``:
+    - x < 0: 0 < (1 + t)(1 + t - eps) < 4, so the bound exceeds eps/2 and
+      needs eps < 2 tol: e = 1;
+    - x > 0: 0 < (1 - t)(1 - t - eps) < (1 - t)^2 <= 1, so the bound exceeds
+      2 eps/(1 - t)^2 and needs eps < tol (1 - t)^2/2 <= tol/2: e = -1, or
+      2 w - 1 where a state bounds 1 - t < 2^w <= 1 for the states after it.
+
+    Leaps start at the least depth n* with (4 n*^2 - 1) Y^2 >= X^2; before
+    it each leap is one term, so every state there is formed and tested.
+    From there on a state with a bound is followed only by states with one, so
+    when the state at the depth cap has none, no state skipped had one, and
+    DepthCapError's ``best`` is unchanged.  Why: t + eps is c_{n-1} at even
+    n and 2 c_n - c_{n-1} at odd n, so it never rises from odd n to n + 1,
+    and from even n to n + 1 only if 2 gap_{n+1} > gap_n, that is
+    b k_{n-1} > a_{n+1} k_n; but k_n >= a_n k_{n-1} and
+    a_n a_{n+1} = (4 n^2 - 1) Y^2 >= X^2 = b.
     """
 
     def __init__(self, x: int, y: int):
         super().__init__(_reduced_tanh_cf(abs(x), 2 * y))
-        self.negative = x < 0
+        # With s = a_slope = 2Y and b = X^2, n* is the least n with (2 n s)^2 >= 4 b + s^2.
+        s, b = self.cf.rule.a_slope.numerator, self.cf.rule.b_rest.numerator
+        self.negative, self.n_star = x < 0, -(-(isqrt(4 * b + s * s - 1) + 1) // (2 * s))
 
     def stop(self, tol: Fraction):
         # bound <= p/q is 2 P k q <= p m (m k' - P).  As 0 < m k' - P < m k',
@@ -130,6 +150,17 @@ class _ExpBound(_GapBound):
             )
 
         return stop
+
+    def _room(self, state):
+        # For x > 0, past a state at depth >= 1, t lies between c_n and c_{n-1},
+        # so 1 - t <= 1 - t_n + eps_n = (u k' + P)/(k k') < 2^w with u = k - h,
+        # as u k' + P has at most max(bl(u k'), bl(P)) + 1 bits and k k' at
+        # least bl(k) + bl(k') - 1; and 1 - t <= 1.  At depth 0, k' = 0 gives w > 0.
+        _, _, h, k_prev, k, p = state
+        if self.negative or h >= k:
+            return 1 if self.negative else -1
+        w = max((k - h).bit_length() + k_prev.bit_length(), p.bit_length()) + 3
+        return 2 * min(w - k.bit_length() - k_prev.bit_length(), 0) - 1
 
     def _enclosure(self, state):
         n, _, h, k_prev, k, p = state

@@ -10,7 +10,8 @@ The ``reference_*`` functions are the Fraction loops that the integer engine
 replaced, kept verbatim as the reference its views must match field by
 field.  They step ``ConvergentState``, the unscaled reference step in exact
 rationals, which lives here since the engine stopped using it: in ``src``
-only ``core._walk`` steps the recurrence.
+only ``core._walk`` and ``core._GapBound._leap``, which folds the terms into
+a 2x2 matrix or takes one step, step the recurrence.
 ``decimal_preview`` is the Fraction preview that the table rows used before
 they were walked in base 10, also kept verbatim.  ``reference_pinned`` is the
 rule by which ``cli.certified_digits`` pinned digits from the endpoints

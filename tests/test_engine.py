@@ -10,12 +10,13 @@ finite lists and the index of a non-positive term.
 import time
 from decimal import Decimal
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cfrac import cli, core
+from cfrac import cli, core, expansions
 from cfrac.core import (
     DEPTH_CAP,
     ClosedFormRule,
@@ -335,6 +336,170 @@ def test_exhausted_list_behind_a_scale_is_exact():
     got = evaluate(cf, F(1, 10**6))
     assert _fields(got) == _fields(reference_evaluate(cf, F(1, 10**6)))
     assert got.error_bound == 0 and got.depth == 1
+
+
+# ------------------------------------------------- the edges of a leap
+
+
+def _stop_tests(monkeypatch):
+    """Wrap the stop tests of both bounds; return the list of depths they test."""
+    tested = []
+    for cls in (core._GapBound, expansions._ExpBound):
+
+        def counting(self, tol, stop=cls.stop):
+            test = stop(self, tol)
+
+            def counted(state):
+                tested.append(state[0])
+                return test(state)
+
+            return counted
+
+        monkeypatch.setattr(cls, "stop", counting)
+    return tested
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["exp", "tanh"]),
+    st.integers(-80, 300),
+    st.integers(1, 60),
+    st.lists(tolerances, min_size=1, max_size=5).map(lambda ts: sorted(ts, reverse=True)),
+    st.integers(1, 60),
+)
+@example("exp", 60, 1, [F(1, 10**100)], 60)  # leaps from n* = 16; the capped state has a bound
+@example("exp", 80, 1, [F(1, 10**100)], 60)  # leaps from n* = 21 past states with no bound
+@example("exp", -80, 1, [F(1, 10**100)], 60)
+@example("tanh", 1000, 1, [F(1, 10**12), F(1, 10**16), F(1, 10**16)], 60)
+def test_leaps_stop_and_cap_where_the_reference_does(expr, x, y, tolerances, max_depth):
+    # Each tolerance against a fresh reference evaluation: value, bound and
+    # depth, or the DepthCapError with its message and best.
+    reference = reference_exp_rational if expr == "exp" else reference_tanh_rational
+    evaluator = exp_rational if expr == "exp" else tanh_rational
+    enclosures = certified_enclosures(expr, x, y, tolerances, max_depth)
+    for tol in tolerances:
+        want = outcome(reference, x, y, tol, max_depth)
+        assert outcome(lambda: _fields(core._approximation(*next(enclosures)))) == want
+        assert outcome(evaluator, x, y, tol, max_depth) == want
+        if want[0] != "ok":
+            break
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["exp", "tanh"]),
+    st.integers(-3000, 3000).filter(bool),
+    st.integers(1, 60),
+    st.integers(1, 300),
+    st.integers(1, 300),
+    st.sampled_from([F(1), F(2**64 - 1, 2**64)]),
+)
+@example("tanh", 3000, 1, 300, 250, F(1))
+@example("exp", -3000, 7, 120, 100, F(2**64 - 1, 2**64))
+def test_a_tolerance_on_a_states_own_bound_stops_where_a_walk_does(expr, x, y, m, n, below):
+    # The edge of the leap bound: tol is the bound of the state at depth
+    # n* + m itself, which then just passes the stop test, or a hair below
+    # it, which just fails.  Fresh, and resumed from the bound of an earlier
+    # state, refine stops where testing each state of ``_walk`` in turn does.
+    x = abs(x) if expr == "tanh" else x
+
+    def make():
+        return expansions._ExpBound(x, y) if expr == "exp" else core._GapBound(expansions._reduced_tanh_cf(x, y))
+
+    def bound_of(state):
+        _, b, c, d, _ = make()._enclosure(state)
+        return F(c, b * d) if d > 0 else None
+
+    def walked(tol):
+        stop = make().stop(tol)
+        return next((state[0] for state in states if stop(state)), None)
+
+    m += make().n_star
+    states = list(islice(core._walk(make().cf), 1, m + 400))
+    assume(bound_of(states[m - 1]) is not None)
+    tol = bound_of(states[m - 1]) * below
+    coarse = max(bound_of(states[min(n, m) - 1]) or tol, tol)
+    assume(walked(tol) is not None)
+    depths = [enclosure[4] for enclosure in certified_enclosures(expr, x, y, [coarse, tol])]
+    assert depths == [walked(coarse), walked(tol)]
+    assert make().refine(tol, DEPTH_CAP)[4] == walked(tol)
+
+
+@PROPERTY
+@given(st.integers(-300, 300).filter(bool), st.integers(1, 60), st.integers(0, 120))
+@example(1, 1, 0)
+def test_every_later_exp_state_with_a_bound_is_within_the_room(x, y, n):
+    # The room e of a state claims eps < bound 2^e at every later state that
+    # has a bound, so a state whose gap is above tol 2^e fails the stop test.
+    bound = expansions._ExpBound(x, y)
+    states = list(islice(core._walk(bound.cf), n, n + 25))
+    room = F(2) ** bound._room(states[0])
+    for state in states[1:]:
+        _, _, h, k_prev, k, p = state
+        if p < (k - h) * k_prev:
+            a, b, c, d, _ = bound._enclosure(state)
+            assert F(p, k * k_prev) < F(c, b * d) * room
+
+
+@pytest.mark.parametrize("length", [40, 32])  # runs out inside a chunk, and right after one
+def test_a_list_that_runs_out_in_a_leap_ends_exactly_on_its_last_term(monkeypatch, length):
+    # Far below the gap of every state, the leap bound rules all of them out,
+    # so the list runs out while terms are being folded, before any stop test.
+    rule = ExplicitListRule(tuple(Term(F(i % 5 + 1), F(i % 3 + 1)) for i in range(length)))
+    cf = ContinuedFraction(F(1), rule)
+    tol = F(1, 10**400)
+    tested = _stop_tests(monkeypatch)
+    got = evaluate(cf, tol)
+    assert _fields(got) == _fields(reference_evaluate(cf, tol))
+    assert got.error_bound == 0 and got.depth == length
+    bound = core._GapBound(cf)
+    with pytest.raises(ExpansionExhaustedError):
+        bound.refine(tol, DEPTH_CAP)
+    states = []
+    with pytest.raises(ExpansionExhaustedError):
+        states.extend(core._walk(cf))
+    assert bound.state == states[-1] and states[-1][0] == length
+    assert F(bound.state[2], bound.state[4]) == got.value
+    assert tested == []
+
+
+@pytest.mark.parametrize(
+    "rule",
+    [
+        ClosedFormRule(b_first=1, b_rest=1, a_slope=-1, a_intercept=41),  # a_41 = 0
+        ExplicitListRule((*(Term(F(2 * i + 1), F(3)) for i in range(40)), Term(F(1), F(-2)))),
+    ],
+    ids=["closed form", "list"],
+)
+def test_a_term_refused_in_a_leap_is_reported_at_its_index(monkeypatch, rule):
+    cf = ContinuedFraction(F(0), rule)
+    tol = F(1, 10**400)
+    tested = _stop_tests(monkeypatch)
+    want = outcome(reference_evaluate, cf, tol)
+    assert want[:2] == ("non-positive", 41)
+    assert outcome(evaluate, cf, tol) == want
+    assert tested == []
+
+
+def test_digits_stop_test_a_handful_of_states(monkeypatch):
+    # A step-by-step walk would stop-test all 566 and all 699 states.
+    tested = _stop_tests(monkeypatch)
+    for expr, x, y, digits, depth in (("exp", 1, 1, 3300, 566), ("tanh", 1, 2, 4200, 699)):
+        tested.clear()
+        assert cli.certified_digits(expr, x, y, digits)[2] == depth
+        assert len(tested) <= 20
+
+
+@pytest.mark.parametrize("x, n_star", [(80, 21), (-80, 21), (60, 16)])
+def test_exp_states_below_n_star_are_each_tested(monkeypatch, x, n_star):
+    # Below n* a state with a bound may be followed by one without, so each
+    # state there is formed and tested, and ``best`` sees every one of them.
+    tested = _stop_tests(monkeypatch)
+    assert expansions._ExpBound(x, 1).n_star == n_star
+    with pytest.raises(DepthCapError):
+        exp_rational(x, 1, F(1, 10**100), max_depth=n_star + 5)
+    assert tested[:n_star] == list(range(1, n_star + 1))
+    assert len(tested) < n_star + 5
 
 
 # ------------------------------------------------- regressions, fixed depths

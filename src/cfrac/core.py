@@ -37,8 +37,25 @@ gaps ahead from below; that bound rules out the states that must fail, and
 only the first state it cannot rule out is formed and tested.  Each skipped
 state fails the exact test, and each other one is tested, so every depth is
 that of a step-by-step walk.
-Stopping tests cross-multiply: gap <= p/q is P_n q <= p k_n k_{n-1}.  A
-bit-length test may reject a state before multiplying; bit lengths fix a
+
+A certified value is a Moebius image of the walk's interval: a bound holds
+an integer matrix M = [[p, q], [r, s]], and its value at t = h_n/k_n is
+M(t) = (p h_n + q k_n)/m with m = r h_n + s k_n.  Pushing [t - eps, t + eps],
+eps = P_n/(k_n k_{n-1}), through M bounds it by
+|det M| P_n k_n/(m (m k_{n-1} - |r| P_n)) (Gosper, HAKMEM item 101, 1972;
+Vuillemin, "Exact real computer arithmetic with continued fractions", IEEE
+Trans. Computers 39, 1990).  tanh is M = I, whose bound is the gap itself;
+e^(x/y) is [[1, 1], [-1, 1]] (x > 0) or [[-1, 1], [1, 1]] (x < 0) over
+tanh(|x|/(2y)).  A map with a pole (r != 0) bounds a state only when
+t + eps < 1, the pole test.  A leap's room, the e such that every later
+state that passes has a gap of at most tol 2^e, is 2 min(w, cap) + 1 -
+bl(|det M|), read off M and the state; leaps start at a depth n* from which
+a state with a bound is followed only by states with one.  ``_GapBound``
+derives both.
+Stopping tests cross-multiply: gap <= p/q is P_n q <= p k_n k_{n-1}, and
+the bound of M is within p/q when
+|det M| P_n k_n q <= p m (m k_{n-1} - |r| P_n).
+A bit-length test may reject a state before multiplying; bit lengths fix a
 product only within a factor of two, so that test is a necessary condition
 for passing, never a sufficient one.  A state it lets through is decided by
 ``_compare_products``, a filtered exact comparison: the leading 64 bits of
@@ -355,7 +372,7 @@ _CHUNK = 16
 
 
 class _GapBound:
-    """c_n = h_n/k_n within the determinant gap P_n/(k_n k_{n-1}), over the terms of ``cf``.
+    """M(h_n/k_n) within the image of the determinant gap P_n/(k_n k_{n-1}), over the terms of ``cf``.
 
     ``refine`` is its interface: it resumes to a tolerance and returns the
     enclosure (a, b, c, d, depth), the value a/b within the bound c/(b d),
@@ -365,57 +382,133 @@ class _GapBound:
     it keeps in ``last`` the deepest state it has seen with a bound, and
     ``_enclosure(state)`` reads a state's enclosure.
 
+    The bound.  ``matrix`` M = [[p, q], [r, s]] is the Moebius map
+    M(t) = (p t + q)/(r t + s), with r t + s > 0 at every state with a bound.
+    With m = r h + s k and the gap eps = P/(k k') (k' = k_{n-1}),
+    M(t) = (p h + q k)/m, and every T within eps of t has
+    |M(T) - M(t)| = |det M| |T - t|/(|r T + s| |r t + s|)
+                  <= |det M| eps/(|r t + s| (|r t + s| - |r| eps)),
+    which is |det M| P k/(m (m k' - |r| P)).  ``cf`` is Gauss's fraction for tanh
+    (``expansions``), so t >= 0, and three matrices are used:
+    - M = I, tanh itself.  The common k cancels: the enclosure is
+      (h, k, P, k'), the gap.  I is the one matrix with r = 0 taken.
+    - [[1, 1], [-1, 1]], exp at x > 0: (1 + t)/(1 - t), with m = k - h.
+    - [[-1, 1], [1, 1]], exp at x < 0: (1 - t)/(1 + t), with m = k + h.
+
+    The pole test.  When r != 0, a state has a bound only if its interval
+    lies below 1, the supremum of tanh: t + eps < 1, that is P < (k - h) k'.
+    That keeps the interval off the poles t = 1 and t = -1 (t >= 0 and
+    eps < 1 give t - eps > -1) and m k' - |r| P > 0.  For x < 0 the Moebius
+    test |r t + s| > |r| eps alone is weaker: it would give a bound, and so a
+    DepthCapError ``best``, to states past t + eps = 1.  ``last`` is set only
+    for states with a bound.
+
     The leap bound.  The j terms past state n fold into
-    M = [[a_{n+j}, b_{n+j}], [1, 0]] ... [[a_{n+1}, b_{n+1}], [1, 0]], which
+    N = [[a_{n+j}, b_{n+j}], [1, 0]] ... [[a_{n+1}, b_{n+1}], [1, 0]], which
     maps (k_n, k_{n-1}) to (k_{n+j}, k_{n+j-1}) and (h_n, h_{n-1}) likewise,
     and P_{n+j} = P_n B_j with B_j = b_{n+1} ... b_{n+j}.  So the gap of
-    state n + j is P_n B_j/(k_{n+j} k_{n+j-1}) with both k's read off M in
-    bit lengths, from M's entries and k_n, k_{n-1}, without forming them.
+    state n + j is P_n B_j/(k_{n+j} k_{n+j-1}) with both k's read off N in
+    bit lengths, from N's entries and k_n, k_{n-1}, without forming them.
     ``_leap`` pulls terms while that gap is provably above tol 2^e, where
     ``_room(state)`` gives an e such that every later state that passes the
     stop test at tol has a gap of at most tol 2^e; such states fail, so they
     are skipped without being formed.  Only the first state the bound cannot
     rule out is formed and tested, exactly, and no term past it is pulled,
-    so no depth moves.  Below depth ``n_star``, 0 here (``_ExpBound``), each
-    leap is one term long, so every state there is formed and tested.
+    so no depth moves.
+
+    The room.  As 0 < m k' - |r| P <= m k', a passing state has
+    tol >= |det M| eps/(r t + s)^2, so eps <= tol (r t + s)^2/|det M|.  Past
+    state n every convergent lies between c_{n-1} and c_n, within eps of t,
+    so |r t_j + s| <= (|m| k' + |r| P)/(k k') < 2^w; and a passing state has
+    t in [0, 1) when r != 0 (the pole test), where
+    |r t + s| <= max(|s|, |r + s|) <= 2^cap, which holds for every t when
+    r = 0.  So e = 2 min(w, cap) + 1 - bl(|det M|): 0 for I, 1 for x < 0
+    and 2 min(w, 0) - 1 for x > 0.  At depth 0, k' = 0 and w is no bound,
+    but P = k there makes w >= 3, above the cap of each matrix.
+
+    ``n_star``.  Below it each leap is one term long, so every state there
+    is formed and tested.  From it on, a state with a bound must be followed
+    only by states with one: then when the state at the depth cap has none,
+    no state skipped had one, and DepthCapError's ``best`` is a walk's.  It
+    is 0 for I, where every state has a bound.  For exp
+    (``expansions._exp_bound``) it is the least n* with
+    (4 n*^2 - 1) Y^2 >= X^2 for tanh(X/Y).  Why: t + eps is c_{n-1} at even
+    n and 2 c_n - c_{n-1} at odd n, so it never rises from odd n to n + 1,
+    and from even n to n + 1 only if 2 gap_{n+1} > gap_n, that is
+    b k_{n-1} > a_{n+1} k_n; but k_n >= a_n k_{n-1} and
+    a_n a_{n+1} = (4 n^2 - 1) Y^2 >= X^2 = b.
     """
 
     last = None
-    n_star = 0
 
-    def __init__(self, cf: ContinuedFraction):
+    def __init__(self, cf: ContinuedFraction, matrix=((1, 0), (0, 1)), n_star: int = 0):
         self.cf, self.terms, self.state = cf, _integer_terms(cf), _origin(cf)
+        self.matrix, self.n_star = matrix, n_star
+        (p, q), (r, s) = matrix
+        assert r or matrix == ((1, 0), (0, 1)), "an affine M must be I"
+        # |det M|, and |r t + s| <= 2^cap for t in [0, 1), and for every t if r = 0
+        self.det, self.cap = abs(p * s - q * r), (max(abs(s), abs(r + s)) - 1).bit_length()
 
     def stop(self, tol: Fraction) -> Callable[[tuple], bool]:
-        # gap <= p/q is P q <= p k k'.  As bl(P q) >= bl(P) + bl(q) - 1 and
-        # bl(p k k') <= bl(p) + bl(k) + bl(k'), a state past ``slack`` fails it.
+        # For I, gap <= p/q is P q <= p k k'.  As bl(P q) >= bl(P) + bl(q) - 1 and
+        # bl(p k k') <= bl(p) + bl(k) + bl(k'), a state past ``slack`` fails it.  Otherwise
+        # bound <= p/q is |det| P k q <= p m (m k' - |r| P).  As 0 < m k' - |r| P <= m k',
+        # the left-hand side has at least bl(|det|) + bl(P) + bl(k) + bl(q) - 3 bits and the
+        # right at most bl(p) + 2 bl(m) + bl(k'), so a state past ``slack``, 2 - bl(|det|)
+        # higher, fails it.  Likewise P >= u k' needs bl(P) >= bl(u) + bl(k') - 1.  States
+        # that pass a bit-length test are decided by ``_compare_products``.
         p_tol, q_tol = tol.numerator, tol.denominator
-        slack = p_tol.bit_length() - q_tol.bit_length() + 1
+        det, (r, s) = self.det, self.matrix[1]
+        slack = p_tol.bit_length() - q_tol.bit_length() + (3 - det.bit_length() if r else 1)
 
         def stop(state):
-            self.last = state
-            _, _, _, k_prev, k, p = state
+            _, _, h, k_prev, k, p = state
+            if not r:
+                self.last = state
+                return (
+                    p.bit_length() - k.bit_length() - k_prev.bit_length() <= slack
+                    and _compare_products((p, q_tol), (p_tol, k, k_prev)) <= 0
+                )
+            u = k - h
+            if u <= 0 or (
+                p.bit_length() >= u.bit_length() + k_prev.bit_length() - 1
+                and _compare_products((p,), (u, k_prev)) >= 0
+            ):
+                return False
+            self.last, m = state, r * h + s * k
             return (
-                p.bit_length() - k.bit_length() - k_prev.bit_length() <= slack
-                and _compare_products((p, q_tol), (p_tol, k, k_prev)) <= 0
+                p.bit_length() + k.bit_length() - 2 * m.bit_length() - k_prev.bit_length() <= slack
+                and _compare_products((det, p, k, q_tol), (p_tol, m, m * k_prev - abs(r) * p)) <= 0
             )
 
         return stop
 
     def _room(self, state: tuple) -> int:
         """e such that every state past ``state`` that passes ``stop(tol)`` has gap <= tol 2^e."""
-        return 0
+        # 2^w > (|m| k' + |r| P)/(k k'): the numerator has at most
+        # max(bl(m) + bl(k'), bl(|r| P)) + 1 bits and k k' at least bl(k) + bl(k') - 1.
+        # For r = 0, |r t + s| <= 2^cap at every t, so w is not needed.
+        e, (r, s) = self.cap, self.matrix[1]
+        if r:
+            _, _, h, k_prev, k, p = state
+            w = max(abs(r * h + s * k).bit_length() + k_prev.bit_length(), (abs(r) * p).bit_length()) + 3
+            e = min(w - k.bit_length() - k_prev.bit_length(), e)
+        return 2 * e + 1 - self.det.bit_length()
 
     def _enclosure(self, state: tuple) -> tuple[int, int, int, int, int]:
         n, _, h, k_prev, k, p = state
-        return h, k, p, k_prev, n
+        (top_h, top_k), (r, s) = self.matrix
+        if not r:
+            return h, k, p, k_prev, n
+        m = r * h + s * k
+        return top_h * h + top_k * k, m, self.det * p * k, m * k_prev - abs(r) * p, n
 
     def _leap(self, depth: int, p_tol: int, q_tol: int) -> tuple:
         """Pull terms while the leap bound rules out the state reached, up to ``depth``; form that state.
 
         The states are ruled out at tol = p_tol/q_tol.  The state reached is
         stored, also when a term is refused or a finite expansion runs out,
-        and returned.  M is applied to the state every _CHUNK terms.  A leap
+        and returned.  N is applied to the state every _CHUNK terms.  A leap
         to the next depth has no state to rule out and is one step of
         ``_walk``.
         """

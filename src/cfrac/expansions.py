@@ -30,8 +30,6 @@ from .core import (
     EPatternRule,
     _GapBound,
     _approximation,
-    _compare_products,
-    equivalence_transform,
     evaluate,
 )
 from .errors import DomainError
@@ -52,14 +50,15 @@ def gauss_tanh_cf(z: Fraction) -> ContinuedFraction:
 def tanh_integer_cf(x: int, y: int) -> ContinuedFraction:
     """The all-integer expansion of tanh(x/y): b_1 = x, b_i = x^2, a_i = (2i-1)y.
 
-    Built by applying the equivalence transform with constant scale y to
-    Gauss's expansion at z = x/y, which clears every rational term into a
-    positive integer while preserving all convergents exactly.  Requires
+    It is the equivalence transform with constant scale y of Gauss's
+    expansion at z = x/y, which clears every rational term into a positive
+    integer while preserving all convergents exactly; the closed form is
+    built directly from x and y, with no rational arithmetic.  Requires
     x >= 1 and y >= 1.
     """
     if x < 1 or y < 1:
         raise DomainError("x and y must be positive integers")
-    return equivalence_transform(gauss_tanh_cf(Fraction(x, y)), Fraction(y))
+    return ContinuedFraction(0, ClosedFormRule(b_first=x, b_rest=x * x, a_slope=2 * y, a_intercept=-y))
 
 
 def e_simple_cf() -> ContinuedFraction:
@@ -88,84 +87,18 @@ def tanh_rational(
     return evaluate(_reduced_tanh_cf(x, y), tol, max_depth)
 
 
-class _ExpBound(_GapBound):
-    """e^(x/y) = (1 + t)/(1 - t), or (1 - t)/(1 + t) for x < 0, at t = h/k.
+def _exp_bound(x: int, y: int) -> _GapBound:
+    """The bound of e^(x/y), x != 0: a Moebius image of t = tanh(X/Y), X/Y = |x|/(2y) in lowest terms.
 
-    The gap bound of t = tanh(X/Y), X/Y = |x|/(2y) in lowest terms (x != 0),
-    pushed through the exp map.  With the gap eps = P/(k k') and m = k - h
-    (k + h for x < 0), the value is (2k - m)/m and the propagated bound
-    2 eps/((1 -+ t)(1 -+ t - eps)) is 2 P k/(m (m k' - P)).  A state with
-    t + eps >= 1, that is P >= (k - h) k', has no bound: its interval
-    reaches the pole.
-
-    A passing state has 0 <= t < t + eps < 1, so its gap eps is below
-    tol 2^e for the e of ``_room``:
-    - x < 0: 0 < (1 + t)(1 + t - eps) < 4, so the bound exceeds eps/2 and
-      needs eps < 2 tol: e = 1;
-    - x > 0: 0 < (1 - t)(1 - t - eps) < (1 - t)^2 <= 1, so the bound exceeds
-      2 eps/(1 - t)^2 and needs eps < tol (1 - t)^2/2 <= tol/2: e = -1, or
-      2 w - 1 where a state bounds 1 - t < 2^w <= 1 for the states after it.
-
-    Leaps start at the least depth n* with (4 n*^2 - 1) Y^2 >= X^2; before
-    it each leap is one term, so every state there is formed and tested.
-    From there on a state with a bound is followed only by states with one, so
-    when the state at the depth cap has none, no state skipped had one, and
-    DepthCapError's ``best`` is unchanged.  Why: t + eps is c_{n-1} at even
-    n and 2 c_n - c_{n-1} at odd n, so it never rises from odd n to n + 1,
-    and from even n to n + 1 only if 2 gap_{n+1} > gap_n, that is
-    b k_{n-1} > a_{n+1} k_n; but k_n >= a_n k_{n-1} and
-    a_n a_{n+1} = (4 n^2 - 1) Y^2 >= X^2 = b.
+    e^(x/y) = (1 + t)/(1 - t) for x > 0 and (1 - t)/(1 + t) for x < 0, the
+    matrices [[1, 1], [-1, 1]] and [[-1, 1], [1, 1]].  Leaps start at the
+    least depth n* with (4 n*^2 - 1) Y^2 >= X^2; ``core._GapBound`` says why.
     """
-
-    def __init__(self, x: int, y: int):
-        super().__init__(_reduced_tanh_cf(abs(x), 2 * y))
-        # With s = a_slope = 2Y and b = X^2, n* is the least n with (2 n s)^2 >= 4 b + s^2.
-        s, b = self.cf.rule.a_slope.numerator, self.cf.rule.b_rest.numerator
-        self.negative, self.n_star = x < 0, -(-(isqrt(4 * b + s * s - 1) + 1) // (2 * s))
-
-    def stop(self, tol: Fraction):
-        # bound <= p/q is 2 P k q <= p m (m k' - P).  As 0 < m k' - P < m k',
-        # bl(2 P k q) >= bl(P) + bl(k) + bl(q) - 1 and the right-hand side has
-        # at most bl(p) + 2 bl(m) + bl(k') bits, a state past ``slack`` fails
-        # it.  Likewise P >= u k' needs bl(P) >= bl(u) + bl(k') - 1.  States
-        # that pass a bit-length test are decided by ``_compare_products``.
-        p_tol, q_tol = tol.numerator, tol.denominator
-        slack = p_tol.bit_length() - q_tol.bit_length() + 1
-        negative = self.negative
-
-        def stop(state):
-            _, _, h, k_prev, k, p = state
-            u = k - h
-            if u <= 0 or (
-                p.bit_length() >= u.bit_length() + k_prev.bit_length() - 1
-                and _compare_products((p,), (u, k_prev)) >= 0
-            ):
-                return False
-            self.last = state
-            m = k + h if negative else u
-            return (
-                p.bit_length() + k.bit_length() - 2 * m.bit_length() - k_prev.bit_length()
-                <= slack
-                and _compare_products((2, p, k, q_tol), (p_tol, m, m * k_prev - p)) <= 0
-            )
-
-        return stop
-
-    def _room(self, state):
-        # For x > 0, past a state at depth >= 1, t lies between c_n and c_{n-1},
-        # so 1 - t <= 1 - t_n + eps_n = (u k' + P)/(k k') < 2^w with u = k - h,
-        # as u k' + P has at most max(bl(u k'), bl(P)) + 1 bits and k k' at
-        # least bl(k) + bl(k') - 1; and 1 - t <= 1.  At depth 0, k' = 0 gives w > 0.
-        _, _, h, k_prev, k, p = state
-        if self.negative or h >= k:
-            return 1 if self.negative else -1
-        w = max((k - h).bit_length() + k_prev.bit_length(), p.bit_length()) + 3
-        return 2 * min(w - k.bit_length() - k_prev.bit_length(), 0) - 1
-
-    def _enclosure(self, state):
-        n, _, h, k_prev, k, p = state
-        m = k + h if self.negative else k - h
-        return 2 * k - m, m, 2 * p * k, m * k_prev - p, n
+    cf = _reduced_tanh_cf(abs(x), 2 * y)
+    # With s = a_slope = 2Y and b = X^2, n* is the least n with (2 n s)^2 >= 4 b + s^2.
+    s, b = cf.rule.a_slope.numerator, cf.rule.b_rest.numerator
+    n_star = -(-(isqrt(4 * b + s * s - 1) + 1) // (2 * s))
+    return _GapBound(cf, ((1, 1), (-1, 1)) if x > 0 else ((-1, 1), (1, 1)), n_star)
 
 
 def exp_rational(
@@ -187,9 +120,10 @@ def exp_rational(
     that interval under (1 + u)/(1 - u) deviates from the returned value by
     at most 2*eps/((1 - t)(1 - t - eps)), and similarly on the reciprocal
     side.  The expansion is consumed until that propagated bound drops under
-    ``tol``; the interval must also clear the u = 1 pole first, which it
-    always does since tanh < 1.  Both tests run on the integer state of the
-    walk, cross-multiplied (``_ExpBound``).
+    ``tol``; the interval must also lie below 1 first, which it eventually
+    does since tanh < 1.  Both maps are Moebius images of the walk's
+    interval, and both tests run on its integer state, cross-multiplied
+    (``_exp_bound``, ``core._GapBound``).
 
     y must be >= 1; any integer x is accepted (x = 0 gives exactly 1).
     """
@@ -217,7 +151,7 @@ def certified_enclosures(expr: str, x: int, y: int, tolerances, max_depth: int =
     if expr == "exp":
         if y < 1:
             raise DomainError("y must be a positive integer")
-        bound = _ExpBound(x, y) if x else None
+        bound = _exp_bound(x, y) if x else None
     elif expr == "tanh":
         bound = _GapBound(_reduced_tanh_cf(x, y))
     else:

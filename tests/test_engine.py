@@ -43,6 +43,7 @@ from cfrac.expansions import (
     tanh_rational,
 )
 
+from bench.workloads import GRIDS
 from tests.oracles import (
     ConvergentState,
     decimal_preview as oracle_preview,
@@ -342,20 +343,19 @@ def test_exhausted_list_behind_a_scale_is_exact():
 
 
 def _stop_tests(monkeypatch):
-    """Wrap the stop tests of both bounds; return the list of depths they test."""
+    """Wrap the stop test of the bound; return the list of depths it tests."""
     tested = []
-    for cls in (core._GapBound, expansions._ExpBound):
 
-        def counting(self, tol, stop=cls.stop):
-            test = stop(self, tol)
+    def counting(self, tol, stop=core._GapBound.stop):
+        test = stop(self, tol)
 
-            def counted(state):
-                tested.append(state[0])
-                return test(state)
+        def counted(state):
+            tested.append(state[0])
+            return test(state)
 
-            return counted
+        return counted
 
-        monkeypatch.setattr(cls, "stop", counting)
+    monkeypatch.setattr(core._GapBound, "stop", counting)
     return tested
 
 
@@ -404,7 +404,7 @@ def test_a_tolerance_on_a_states_own_bound_stops_where_a_walk_does(expr, x, y, m
     x = abs(x) if expr == "tanh" else x
 
     def make():
-        return expansions._ExpBound(x, y) if expr == "exp" else core._GapBound(expansions._reduced_tanh_cf(x, y))
+        return expansions._exp_bound(x, y) if expr == "exp" else core._GapBound(expansions._reduced_tanh_cf(x, y))
 
     def bound_of(state):
         _, b, c, d, _ = make()._enclosure(state)
@@ -426,19 +426,35 @@ def test_a_tolerance_on_a_states_own_bound_stops_where_a_walk_does(expr, x, y, m
 
 
 @PROPERTY
-@given(st.integers(-300, 300).filter(bool), st.integers(1, 60), st.integers(0, 120))
-@example(1, 1, 0)
-def test_every_later_exp_state_with_a_bound_is_within_the_room(x, y, n):
-    # The room e of a state claims eps < bound 2^e at every later state that
+@given(
+    st.sampled_from(["exp", "tanh"]),
+    st.integers(-300, 300).filter(bool),
+    st.integers(1, 60),
+    st.integers(0, 120),
+)
+@example("exp", 1, 1, 0)
+@example("tanh", 1, 1, 0)
+@example("exp", 5, 2, 1)  # the room of a state with t >= 1
+@example("exp", 300, 7, 31)  # t >= 1 at depth 31, and a bound from depth 33 on
+@example("exp", -300, 7, 31)
+@example("tanh", 300, 1, 100)  # convergents above 1 in the window
+def test_every_later_exp_state_with_a_bound_is_within_the_room(expr, x, y, n):
+    # The room e of a state claims eps <= bound 2^e at every later state that
     # has a bound, so a state whose gap is above tol 2^e fails the stop test.
-    bound = expansions._ExpBound(x, y)
+    # For exp the claim is strict: the pole term makes the bound exceed
+    # 2 eps/(r t + s)^2.  tanh's bound is its gap, and its room is 0.
+    if expr == "exp":
+        bound = expansions._exp_bound(x, y)
+    else:
+        bound = core._GapBound(expansions._reduced_tanh_cf(abs(x), y))
     states = list(islice(core._walk(bound.cf), n, n + 25))
     room = F(2) ** bound._room(states[0])
     for state in states[1:]:
         _, _, h, k_prev, k, p = state
-        if p < (k - h) * k_prev:
+        if expr == "tanh" or p < (k - h) * k_prev:
             a, b, c, d, _ = bound._enclosure(state)
-            assert F(p, k * k_prev) < F(c, b * d) * room
+            eps, within = F(p, k * k_prev), F(c, b * d) * room
+            assert eps < within if expr == "exp" else eps <= within
 
 
 @pytest.mark.parametrize("length", [40, 32])  # runs out inside a chunk, and right after one
@@ -490,12 +506,22 @@ def test_digits_stop_test_a_handful_of_states(monkeypatch):
         assert len(tested) <= 20
 
 
+def test_the_digits_grid_stays_within_its_stop_test_budget(monkeypatch):
+    # Every class of the benchmark's digits grid that should answer, in one
+    # process: a step-by-step walk would stop-test 15220 states.
+    tested = _stop_tests(monkeypatch)
+    for cls in GRIDS["digits"]:
+        if cls.expect_exit == 0:
+            cli.certified_digits(*cls.params)
+    assert len(tested) <= 557
+
+
 @pytest.mark.parametrize("x, n_star", [(80, 21), (-80, 21), (60, 16)])
 def test_exp_states_below_n_star_are_each_tested(monkeypatch, x, n_star):
     # Below n* a state with a bound may be followed by one without, so each
     # state there is formed and tested, and ``best`` sees every one of them.
     tested = _stop_tests(monkeypatch)
-    assert expansions._ExpBound(x, 1).n_star == n_star
+    assert expansions._exp_bound(x, 1).n_star == n_star
     with pytest.raises(DepthCapError):
         exp_rational(x, 1, F(1, 10**100), max_depth=n_star + 5)
     assert tested[:n_star] == list(range(1, n_star + 1))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cfrac.core import ClosedFormRule, convergents, terms
+from cfrac.core import ClosedFormRule, convergents, equivalence_transform, terms
 from cfrac.errors import DomainError
 from cfrac.expansions import (
     e_simple_cf,
@@ -61,6 +61,13 @@ def test_tanh_integer_third_convergent():
 
 def test_tanh_integer_keeps_closed_form():
     assert isinstance(tanh_integer_cf(4, 6).rule, ClosedFormRule)
+
+
+def test_tanh_integer_is_gauss_scaled_by_y():
+    # Built directly from x and y, it is the transform its docstring names.
+    for x in range(1, 60):
+        for y in range(1, 60):
+            assert tanh_integer_cf(x, y) == equivalence_transform(gauss_tanh_cf(F(x, y)), F(y))
 
 
 @pytest.mark.parametrize("x,y", [(0, 1), (-1, 2), (1, 0), (2, -3)])

@@ -49,9 +49,10 @@ e^(x/y) is [[1, 1], [-1, 1]] (x > 0) or [[-1, 1], [1, 1]] (x < 0) over
 tanh(|x|/(2y)).  A map with a pole (r != 0) bounds a state only when
 t + eps < 1, the pole test.  A leap's room, the e such that every later
 state that passes has a gap of at most tol 2^e, is 2 min(w, cap) + 1 -
-bl(|det M|), read off M and the state; leaps start at a depth n* from which
-a state with a bound is followed only by states with one.  ``_GapBound``
-derives both.
+bl(|det M|), read off M and the state.  It holds at every state, so
+refinement always leaps; only at the depth cap are the states walked again,
+for DepthCapError's ``best``, the deepest state that passes the pole test.
+``_GapBound`` derives both.
 Stopping tests cross-multiply: gap <= p/q is P_n q <= p k_n k_{n-1}, and
 the bound of M is within p/q when
 |det M| P_n k_n q <= p m (m k_{n-1} - |r| P_n).
@@ -343,12 +344,12 @@ def _origin(cf: ContinuedFraction) -> tuple:
     return 0, 1, cf.leading.numerator, 0, c_0, c_0
 
 
-def _walk(cf: ContinuedFraction, positive: bool = True, num=int):
+def _walk(cf: ContinuedFraction, num=int):
     """The integer engine: the states of the recurrence over ``_integer_terms(cf)``, from depth 0.
 
     A state is (n, h_{n-1}, h_n, k_{n-1}, k_n, P_n) with P_n = c_0 b_1' ... b_n',
-    which is |D_n| for positive terms.  With ``positive``, consuming a term
-    that is not strictly positive raises NonPositiveTermError.  A finite
+    which is |D_n| for positive terms.  No term is checked: a view that needs
+    positive terms checks them itself, as ``_GapBound._leap`` does.  A finite
     expansion that runs out raises ExpansionExhaustedError after its last
     state.  The terms are ints; ``num`` converts the five integers of the
     state at depth 0 (``_origin``), and may be any exact integer type that
@@ -358,8 +359,6 @@ def _walk(cf: ContinuedFraction, positive: bool = True, num=int):
     n, h_prev, h, k_prev, k, p = 0, *map(num, _origin(cf)[1:])
     yield n, h_prev, h, k_prev, k, p
     for a, b in _integer_terms(cf):
-        if positive and (a <= 0 or b <= 0):
-            raise NonPositiveTermError(n + 1, cf.term(n + 1))
         n += 1
         h_prev, h = h, a * h + b * h_prev
         k_prev, k = k, a * k + b * k_prev
@@ -378,8 +377,8 @@ class _GapBound:
     enclosure (a, b, c, d, depth), the value a/b within the bound c/(b d),
     with b, d > 0 and c >= 0.  ``terms`` is the ``_integer_terms`` iterator
     and ``state`` the state of ``_walk`` reached so far, from ``_origin``.
-    ``stop(tol)`` is the stop test ``refine`` applies to the states it forms;
-    it keeps in ``last`` the deepest state it has seen with a bound, and
+    ``stop(tol)`` is the stop test ``refine`` applies to the states it forms,
+    ``_bounded(state)`` says whether a state has a bound, and
     ``_enclosure(state)`` reads a state's enclosure.
 
     The bound.  ``matrix`` M = [[p, q], [r, s]] is the Moebius map
@@ -395,13 +394,13 @@ class _GapBound:
     - [[1, 1], [-1, 1]], exp at x > 0: (1 + t)/(1 - t), with m = k - h.
     - [[-1, 1], [1, 1]], exp at x < 0: (1 - t)/(1 + t), with m = k + h.
 
-    The pole test.  When r != 0, a state has a bound only if its interval
-    lies below 1, the supremum of tanh: t + eps < 1, that is P < (k - h) k'.
-    That keeps the interval off the poles t = 1 and t = -1 (t >= 0 and
-    eps < 1 give t - eps > -1) and m k' - |r| P > 0.  For x < 0 the Moebius
-    test |r t + s| > |r| eps alone is weaker: it would give a bound, and so a
-    DepthCapError ``best``, to states past t + eps = 1.  ``last`` is set only
-    for states with a bound.
+    The pole test, ``_bounded``.  When r != 0, a state has a bound only if
+    its interval lies below 1, the supremum of tanh: t + eps < 1, that is
+    P < (k - h) k'.  That keeps the interval off the poles t = 1 and t = -1
+    (t >= 0 and eps < 1 give t - eps > -1) and m k' - |r| P > 0.  For x < 0
+    the Moebius test |r t + s| > |r| eps alone is weaker: it would give a
+    bound, and so a DepthCapError ``best``, to states past t + eps = 1.
+    When r = 0 every state past depth 0 has a bound, its gap.
 
     The leap bound.  The j terms past state n fold into
     N = [[a_{n+j}, b_{n+j}], [1, 0]] ... [[a_{n+1}, b_{n+1}], [1, 0]], which
@@ -414,7 +413,8 @@ class _GapBound:
     stop test at tol has a gap of at most tol 2^e; such states fail, so they
     are skipped without being formed.  Only the first state the bound cannot
     rule out is formed and tested, exactly, and no term past it is pulled,
-    so no depth moves.
+    so no depth moves.  A leap may start at any state, depth 0 included,
+    since the room below holds at every state.
 
     The room.  As 0 < m k' - |r| P <= m k', a passing state has
     tol >= |det M| eps/(r t + s)^2, so eps <= tol (r t + s)^2/|det M|.  Past
@@ -426,24 +426,18 @@ class _GapBound:
     and 2 min(w, 0) - 1 for x > 0.  At depth 0, k' = 0 and w is no bound,
     but P = k there makes w >= 3, above the cap of each matrix.
 
-    ``n_star``.  Below it each leap is one term long, so every state there
-    is formed and tested.  From it on, a state with a bound must be followed
-    only by states with one: then when the state at the depth cap has none,
-    no state skipped had one, and DepthCapError's ``best`` is a walk's.  It
-    is 0 for I, where every state has a bound.  For exp
-    (``expansions._exp_bound``) it is the least n* with
-    (4 n*^2 - 1) Y^2 >= X^2 for tanh(X/Y).  Why: t + eps is c_{n-1} at even
-    n and 2 c_n - c_{n-1} at odd n, so it never rises from odd n to n + 1,
-    and from even n to n + 1 only if 2 gap_{n+1} > gap_n, that is
-    b k_{n-1} > a_{n+1} k_n; but k_n >= a_n k_{n-1} and
-    a_n a_{n+1} = (4 n^2 - 1) Y^2 >= X^2 = b.
+    ``best``.  At the depth cap, DepthCapError carries the enclosure of the
+    deepest state reached that has a bound, the one a step-by-step walk
+    would keep (``_best``).  When ``_bounded`` accepts the capped state, as
+    it always does for I, that state is the one.  Otherwise a leap may have
+    skipped states with a bound, since a state with one may be followed by
+    states without, so the states before the capped one are walked again
+    and the last one ``_bounded`` accepts is taken.  Only the cap path walks.
     """
 
-    last = None
-
-    def __init__(self, cf: ContinuedFraction, matrix=((1, 0), (0, 1)), n_star: int = 0):
+    def __init__(self, cf: ContinuedFraction, matrix=((1, 0), (0, 1))):
         self.cf, self.terms, self.state = cf, _integer_terms(cf), _origin(cf)
-        self.matrix, self.n_star = matrix, n_star
+        self.matrix = matrix
         (p, q), (r, s) = matrix
         assert r or matrix == ((1, 0), (0, 1)), "an affine M must be I"
         # |det M|, and |r t + s| <= 2^cap for t in [0, 1), and for every t if r = 0
@@ -455,33 +449,49 @@ class _GapBound:
         # bound <= p/q is |det| P k q <= p m (m k' - |r| P).  As 0 < m k' - |r| P <= m k',
         # the left-hand side has at least bl(|det|) + bl(P) + bl(k) + bl(q) - 3 bits and the
         # right at most bl(p) + 2 bl(m) + bl(k'), so a state past ``slack``, 2 - bl(|det|)
-        # higher, fails it.  Likewise P >= u k' needs bl(P) >= bl(u) + bl(k') - 1.  States
-        # that pass a bit-length test are decided by ``_compare_products``.
+        # higher, fails it.  States that pass a bit-length test are decided by
+        # ``_compare_products``.
         p_tol, q_tol = tol.numerator, tol.denominator
-        det, (r, s) = self.det, self.matrix[1]
+        det, (r, s), bounded = self.det, self.matrix[1], self._bounded
         slack = p_tol.bit_length() - q_tol.bit_length() + (3 - det.bit_length() if r else 1)
 
         def stop(state):
             _, _, h, k_prev, k, p = state
             if not r:
-                self.last = state
                 return (
                     p.bit_length() - k.bit_length() - k_prev.bit_length() <= slack
                     and _compare_products((p, q_tol), (p_tol, k, k_prev)) <= 0
                 )
-            u = k - h
-            if u <= 0 or (
-                p.bit_length() >= u.bit_length() + k_prev.bit_length() - 1
-                and _compare_products((p,), (u, k_prev)) >= 0
-            ):
+            if not bounded(state):
                 return False
-            self.last, m = state, r * h + s * k
+            m = r * h + s * k
             return (
                 p.bit_length() + k.bit_length() - 2 * m.bit_length() - k_prev.bit_length() <= slack
                 and _compare_products((det, p, k, q_tol), (p_tol, m, m * k_prev - abs(r) * p)) <= 0
             )
 
         return stop
+
+    def _bounded(self, state: tuple) -> bool:
+        """Whether a state past depth 0 has a bound: always when r = 0, else P < (k - h) k'."""
+        # u k' >= 2^(bl(u) + bl(k') - 2) for u, k' >= 1, so bl(P) < bl(u) + bl(k') - 1 passes.
+        if not self.matrix[1][0]:
+            return True
+        _, _, h, k_prev, k, p = state
+        u = k - h
+        return u > 0 and (
+            p.bit_length() < u.bit_length() + k_prev.bit_length() - 1
+            or _compare_products((p,), (u, k_prev)) < 0
+        )
+
+    def _best(self) -> ApproximationResult | None:
+        """DepthCapError's ``best``: the enclosure of the deepest state reached that has a bound, or None."""
+        best = self.state if self._bounded(self.state) else None
+        if best is None:
+            for state in islice(_walk(self.cf), 1, self.state[0]):
+                if self._bounded(state):
+                    best = state
+        return best and _approximation(*self._enclosure(best))
 
     def _room(self, state: tuple) -> int:
         """e such that every state past ``state`` that passes ``stop(tol)`` has gap <= tol 2^e."""
@@ -508,18 +518,10 @@ class _GapBound:
 
         The states are ruled out at tol = p_tol/q_tol.  The state reached is
         stored, also when a term is refused or a finite expansion runs out,
-        and returned.  N is applied to the state every _CHUNK terms.  A leap
-        to the next depth has no state to rule out and is one step of
-        ``_walk``.
+        and returned.  N is applied to the state every _CHUNK terms.  A term
+        that is not strictly positive raises NonPositiveTermError.
         """
-        n, h_prev, h, k_prev, k, p = state = self.state
-        if depth == n + 1:
-            a, b = next(self.terms)
-            if a <= 0 or b <= 0:
-                raise NonPositiveTermError(n + 1, self.cf.term(n + 1))
-            self.state = n + 1, h, a * h + b * h_prev, k, a * k + b * k_prev, p * b
-            return self.state
-        pull, room, chunk = self.terms.__next__, self._room(state), True
+        pull, room, chunk = self.terms.__next__, self._room(self.state), True
         while chunk:
             n, h_prev, h, k_prev, k, p = self.state
             # State n + j is ruled out when P_n B_j q > p 2^e k_{n+j} k_{n+j-1}.  As
@@ -566,17 +568,17 @@ class _GapBound:
         Resumes where it stopped and, past depth 0, re-tests that state
         first, so a smaller tolerance stops at the depth a fresh evaluation
         would.  ``state`` keeps the last state reached, also when a finite
-        expansion runs out.  Past ``max_depth`` terms raises DepthCapError,
-        whose ``best`` is the deepest state with a bound, or None if no state
-        had one; its message writes ``tol`` as str() would, at any size.
+        expansion runs out.  Each leap aims at ``max_depth``.  Past
+        ``max_depth`` terms raises DepthCapError, whose ``best`` (``_best``) is
+        the deepest state reached with a bound, or None if no state had one;
+        its message writes ``tol`` as str() would, at any size.
         """
         stop, state, p_tol, q_tol = self.stop(tol), self.state, tol.numerator, tol.denominator
         while not (state[0] and stop(state)):
             if state[0] >= max_depth:
-                best = self.last and _approximation(*self._enclosure(self.last))
                 shown = _decimal(p_tol) + ("" if q_tol == 1 else f"/{_decimal(q_tol)}")
-                raise DepthCapError(f"tolerance {shown} not reached within {max_depth} terms", best=best)
-            state = self._leap(max_depth if state[0] >= self.n_star else state[0] + 1, p_tol, q_tol)
+                raise DepthCapError(f"tolerance {shown} not reached within {max_depth} terms", best=self._best())
+            state = self._leap(max_depth, p_tol, q_tol)
         return self._enclosure(state)
 
 
@@ -597,7 +599,7 @@ def convergents(cf: ContinuedFraction, depth: int) -> list[Fraction]:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return [Fraction(h, k) for _, _, h, _, k, _ in islice(_walk(cf, positive=False), 1, depth + 1)]
+    return [Fraction(h, k) for _, _, h, _, k, _ in islice(_walk(cf), 1, depth + 1)]
 
 
 def evaluate(

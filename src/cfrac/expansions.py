@@ -20,7 +20,7 @@ and evaluated at the half argument r = x/(2y).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .core import (
     DEPTH_CAP,
@@ -30,7 +30,6 @@ from .core import (
     EPatternRule,
     _GapBound,
     _approximation,
-    evaluate,
 )
 from .errors import DomainError
 
@@ -81,24 +80,22 @@ def tanh_rational(
 ) -> ApproximationResult:
     """tanh(x/y) for positive integers x, y, certified to within ``tol``.
 
-    x/y is reduced first: the smaller partial numerators (x^2 after
-    reduction) converge no slower and leave the value unchanged.
+    A one-tolerance read of ``certified_enclosures``, which checks the
+    arguments.  x/y is reduced first: the smaller partial numerators (x^2
+    after reduction) converge no slower and leave the value unchanged.
     """
-    return evaluate(_reduced_tanh_cf(x, y), tol, max_depth)
+    (enclosure,) = certified_enclosures("tanh", x, y, [tol], max_depth)
+    return _approximation(*enclosure)
 
 
 def _exp_bound(x: int, y: int) -> _GapBound:
     """The bound of e^(x/y), x != 0: a Moebius image of t = tanh(X/Y), X/Y = |x|/(2y) in lowest terms.
 
     e^(x/y) = (1 + t)/(1 - t) for x > 0 and (1 - t)/(1 + t) for x < 0, the
-    matrices [[1, 1], [-1, 1]] and [[-1, 1], [1, 1]].  Leaps start at the
-    least depth n* with (4 n*^2 - 1) Y^2 >= X^2; ``core._GapBound`` says why.
+    matrices [[1, 1], [-1, 1]] and [[-1, 1], [1, 1]], whose pole test
+    ``core._GapBound`` applies.
     """
-    cf = _reduced_tanh_cf(abs(x), 2 * y)
-    # With s = a_slope = 2Y and b = X^2, n* is the least n with (2 n s)^2 >= 4 b + s^2.
-    s, b = cf.rule.a_slope.numerator, cf.rule.b_rest.numerator
-    n_star = -(-(isqrt(4 * b + s * s - 1) + 1) // (2 * s))
-    return _GapBound(cf, ((1, 1), (-1, 1)) if x > 0 else ((-1, 1), (1, 1)), n_star)
+    return _GapBound(_reduced_tanh_cf(abs(x), 2 * y), ((1, 1), (-1, 1)) if x > 0 else ((-1, 1), (1, 1)))
 
 
 def exp_rational(

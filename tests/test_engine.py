@@ -367,9 +367,13 @@ def _stop_tests(monkeypatch):
     st.lists(tolerances, min_size=1, max_size=5).map(lambda ts: sorted(ts, reverse=True)),
     st.integers(1, 60),
 )
-@example("exp", 60, 1, [F(1, 10**100)], 60)  # leaps from n* = 16; the capped state has a bound
-@example("exp", 80, 1, [F(1, 10**100)], 60)  # leaps from n* = 21 past states with no bound
+@example("exp", 60, 1, [F(1, 10**100)], 60)  # the capped state has a bound
+@example("exp", 80, 1, [F(1, 10**100)], 60)  # leaps past states with no bound
 @example("exp", -80, 1, [F(1, 10**100)], 60)
+@example("exp", 80, 1, [F(1, 10**100)], 3)  # caps at states with no bound: best is a walk's
+@example("exp", -80, 1, [F(1, 10**100)], 3)
+@example("exp", 80, 1, [F(1, 10**100)], 20)
+@example("exp", -80, 1, [F(1, 10**100)], 20)
 @example("tanh", 1000, 1, [F(1, 10**12), F(1, 10**16), F(1, 10**16)], 60)
 def test_leaps_stop_and_cap_where_the_reference_does(expr, x, y, tolerances, max_depth):
     # Each tolerance against a fresh reference evaluation: value, bound and
@@ -398,7 +402,7 @@ def test_leaps_stop_and_cap_where_the_reference_does(expr, x, y, tolerances, max
 @example("exp", -3000, 7, 120, 100, F(2**64 - 1, 2**64))
 def test_a_tolerance_on_a_states_own_bound_stops_where_a_walk_does(expr, x, y, m, n, below):
     # The edge of the leap bound: tol is the bound of the state at depth
-    # n* + m itself, which then just passes the stop test, or a hair below
+    # m itself, which then just passes the stop test, or a hair below
     # it, which just fails.  Fresh, and resumed from the bound of an earlier
     # state, refine stops where testing each state of ``_walk`` in turn does.
     x = abs(x) if expr == "tanh" else x
@@ -414,7 +418,6 @@ def test_a_tolerance_on_a_states_own_bound_stops_where_a_walk_does(expr, x, y, m
         stop = make().stop(tol)
         return next((state[0] for state in states if stop(state)), None)
 
-    m += make().n_star
     states = list(islice(core._walk(make().cf), 1, m + 400))
     assume(bound_of(states[m - 1]) is not None)
     tol = bound_of(states[m - 1]) * below
@@ -513,19 +516,57 @@ def test_the_digits_grid_stays_within_its_stop_test_budget(monkeypatch):
     for cls in GRIDS["digits"]:
         if cls.expect_exit == 0:
             cli.certified_digits(*cls.params)
-    assert len(tested) <= 557
+    assert len(tested) <= 484
 
 
-@pytest.mark.parametrize("x, n_star", [(80, 21), (-80, 21), (60, 16)])
-def test_exp_states_below_n_star_are_each_tested(monkeypatch, x, n_star):
-    # Below n* a state with a bound may be followed by one without, so each
-    # state there is formed and tested, and ``best`` sees every one of them.
-    tested = _stop_tests(monkeypatch)
-    assert expansions._exp_bound(x, 1).n_star == n_star
+@pytest.mark.parametrize("sign", [1, -1], ids=["x > 0", "x < 0"])
+@pytest.mark.parametrize(
+    "leading, pairs, cap, depth",
+    [
+        (0, ((3, 2), (1, 5), (1, 30), (2, 1)), 3, 2),  # t + eps is 4/3, 2/3, 199/196
+        (0, ((3, 2), (1, 30), (1, 100), (1, 100), (1, 100), (2, 1)), 5, 4),  # bounds at 2 and 4 only
+        (-3, ((1, 2), (2, 1)), 1, None),  # the bit-length pole test would pass depth 0
+    ],
+)
+def test_a_cap_past_states_with_a_bound_carries_the_deepest_as_best(sign, leading, pairs, cap, depth):
+    # The leap to the cap skips the states with a bound under either exp
+    # map; ``best`` is the deepest that a step-by-step walk with the exact
+    # pole test keeps.
+    cf = ContinuedFraction(F(leading), ExplicitListRule(tuple(Term(F(a), F(b)) for a, b in pairs)))
+    bound = core._GapBound(cf, ((sign, 1), (-sign, 1)))
+    with pytest.raises(DepthCapError) as info:
+        bound.refine(F(1, 10**50), cap)
+    walked = None
+    for n, _, h, k_prev, k, p in islice(core._walk(cf), 1, cap + 1):
+        t, eps = F(h, k), F(p, k * k_prev)
+        if t + eps < 1:
+            m = 1 - sign * t
+            walked = ((1 + sign * t) / m, 2 * eps / (m * (m - eps)), n)
+    assert (walked and walked[2]) == depth
+    assert _fields(info.value.best) == walked
+
+
+@pytest.mark.parametrize(
+    "call, walks",
+    [
+        (lambda: tanh_rational(1, 2, F(1, 10**100), 5), 0),
+        (lambda: exp_rational(60, 1, F(1, 10**100), 60), 0),  # the capped state has a bound
+        (lambda: exp_rational(80, 1, F(1, 10**100), 20), 1),
+    ],
+    ids=["tanh", "exp, bound at the cap", "exp, no bound at the cap"],
+)
+def test_only_a_cap_at_a_state_with_no_bound_walks_again(monkeypatch, call, walks):
+    walked = []
+    walk = core._walk
+
+    def counted(cf, *args):
+        walked.append(cf)
+        return walk(cf, *args)
+
+    monkeypatch.setattr(core, "_walk", counted)
     with pytest.raises(DepthCapError):
-        exp_rational(x, 1, F(1, 10**100), max_depth=n_star + 5)
-    assert tested[:n_star] == list(range(1, n_star + 1))
-    assert len(tested) < n_star + 5
+        call()
+    assert len(walked) == walks
 
 
 # ------------------------------------------------- regressions, fixed depths

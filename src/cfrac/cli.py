@@ -26,12 +26,15 @@ the interpreter accepts, so they print at any size.  Convergent tables are
 walked in base-10 integers (``decimal.Decimal`` under an exact context), which
 print in linear time; a row that would print an integer past the
 interpreter's limit fails as str() of that integer would.  Each row is also
-built in time linear in its digits: the gap denominator k_n k_{n-1} comes
-from a recurrence with term-sized multipliers (``_convergent_rows``, a
-``zip`` of the states of ``core._walk`` with the terms that made them), not
-from a full-size product, and the rows are written by one format per table,
-text or JSON.  Only a tanh row with |D_n| > 1 pays more, a gcd of full-size
-integers to reduce its gap.
+built in time linear in its digits (``_convergent_rows``, a ``zip`` of the
+states of ``core._walk`` with the terms that made them).  The gap
+denominator k_n k_{n-1} comes from a recurrence with term-sized multipliers,
+not from a full-size product.  A tanh row with |D_n| > 1 finds the common
+factor of its gap from the parts of k_n and k_{n-1} made of primes of x, so
+it divides full-size integers only by numbers of that factor's size.  Once
+two rows print the same 20-digit preview, every later row prints it too, so
+no later row divides for it.  The rows are written by one format per table,
+text or JSON.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from decimal import (
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 from typing import Callable
 
@@ -279,8 +282,30 @@ def _row_text(n: Decimal, limit: int) -> str:
     return text
 
 
+def _smooth_part(n, beta: int, e: int) -> tuple[int, int]:
+    """The beta-smooth part of n > 0, and the exponent E that found it, trying E = e first.
+
+    n is an int, or an integer-valued Decimal under ``_EXACT``; beta >= 1 and
+    e >= 1.  w = gcd(n mod beta^E, beta^E) = gcd(n, beta^E) holds each prime
+    p of beta to min(v_p(n), E v_p(beta)).  If w divides beta^(E-1), no
+    prime reached its cap E v_p(beta), so w holds every prime of beta to
+    v_p(n): w is the whole smooth part.  Otherwise E doubles.  The one
+    operation on n is a remainder by beta^E.
+    """
+    while True:
+        cap = beta**e
+        w = gcd(int(n % cap), cap)
+        if (cap // beta) % w == 0:
+            return w, e
+        e *= 2
+
+
 def _convergent_rows(cf, depth: int) -> list[dict]:
     """Rows n = 1..depth: h_n/k_n and the gap P_n/(k_n k_{n-1}) in lowest terms.
+
+    ``cf`` has positive terms, as e and tanh(x/y) with x, y >= 1 do.  A row
+    pays only for the digits it prints: every full-size operation is a sum,
+    a product, quotient or remainder by a short number, or str().
 
     ``core._walk`` runs in Decimal integers in an exact context, so every
     row prints in time linear in its digits, and the gap denominator
@@ -295,22 +320,44 @@ def _convergent_rows(cf, depth: int) -> list[dict]:
     with the walk's states, so every multiplier is term-sized.  The zip pulls
     the state first: a table of ``depth`` rows never asks for term depth + 1.
 
-    By the determinant identity a common divisor of h_n and k_n divides P_n,
-    and so does one of P_n and Q_n: a row with P_n = 1 is in lowest terms as
-    it stands.  Other rows print a reduced copy; Q_n is carried unreduced.
+    Reduction.  By the determinant identity a common divisor of h_n and k_n
+    divides P_n, and so does one of P_n and Q_n: a row with P_n = 1 is in
+    lowest terms as it stands.  Every prime of P_n = c_0 b_1 ... b_n divides
+    beta = lcm(c_0, b_1, ..., b_n), so g = gcd(P_n, Q_n) is gcd(P_n, w w'),
+    that is gcd(w w', P_n mod w w'), with w and w' the beta-smooth parts of
+    k_n and k_{n-1} (``_smooth_part``, whose exponent carries from row to
+    row).  w becomes the next row's w', and w' is found afresh when beta
+    changes.  The gap is divided by g, and h_n and k_n by
+    gcd(g, h_n mod g, k_n mod g), since their common divisors divide
+    gcd(P_n, k_n), which divides g.  P_n and Q_n are carried unreduced.
+
+    Settled previews.  c_n = (a_n k_{n-1} c_{n-1} + b_n k_{n-2} c_{n-2})/k_n
+    is a weighted mean of c_{n-1} and c_{n-2} with positive weights, so it
+    lies between them, and so does every later convergent.  The preview
+    (``decimal_preview``) is a non-decreasing function of h/k, its truncation
+    toward zero, and its string names that value.  So once rows n-1 and n-2
+    print the same preview, every later row prints it too, and no later row
+    divides.
     """
     rows = []
     limit = sys.get_int_max_str_digits()
     c_0 = cf.leading.denominator
     s_2, s_1, q_1 = Decimal(0), Decimal(c_0 * c_0), Decimal(0)  # S_{n-2}, S_{n-1}, Q_{n-1}
+    beta, e, w_prev = c_0, 1, None
+    last = settled = None  # the previous row's preview; the preview of every later row
     with localcontext(_EXACT):
         states = islice(_walk(cf, num=Decimal), 1, depth + 1)
-        for (n, _, h, _, k, p), (a, b) in zip(states, _integer_terms(cf)):
+        for (n, _, h, k_prev, k, p), (a, b) in zip(states, _integer_terms(cf)):
             den = a * s_1 + b * q_1
             s_2, s_1, q_1 = s_1, a * a * s_1 + 2 * a * b * q_1 + b * b * s_2, den
-            if p > 1:
-                # gcd(h, k) divides gcd(P, k), which divides g = gcd(P, k k')
-                g = gcd(int(p), int(den % p))
+            if beta % b:
+                beta, w_prev = lcm(beta, b), None
+            if beta > 1:
+                if w_prev is None:
+                    w_prev, e = _smooth_part(k_prev, beta, e)
+                w, e = _smooth_part(k, beta, e)
+                smooth, w_prev = w * w_prev, w
+                g = gcd(smooth, int(p % smooth))
                 if g > 1:
                     p, den = p // g, den // g
                     g = gcd(g, int(h % g), int(k % g))
@@ -318,12 +365,16 @@ def _convergent_rows(cf, depth: int) -> list[dict]:
             gap = _row_text(p, limit)
             if den != 1:
                 gap = f"{gap}/{_row_text(den, limit)}"
+            value = settled or decimal_preview(h, k)
+            if value == last:
+                settled = value
+            last = value
             rows.append(
                 {
                     "index": n,
                     "h": _row_text(h, limit),
                     "k": _row_text(k, limit),
-                    "value": decimal_preview(h, k),
+                    "value": value,
                     "gap": gap,
                 }
             )

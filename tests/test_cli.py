@@ -5,7 +5,9 @@ import re
 import subprocess
 import sys
 from contextlib import contextmanager
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd, prod
 from pathlib import Path
 
 import mpmath
@@ -138,7 +140,10 @@ def test_convergent_rows_past_the_default_int_str_limit_match_reference():
 #: Expansions whose table rows exercise the gap recurrence: a leading term
 #: with c_0 = 3 and rational terms; a negative leading term and a rational
 #: closed form; gcd(P_n, k_n k_{n-1}) of up to 467 digits in tanh(12/18),
-#: which is not reduced to tanh(2/3); and the two bench expansions.
+#: which is not reduced to tanh(2/3); the two bench expansions; and the
+#: smooth parts behind the reduction: a large power of two, x with six
+#: small primes and with two, whose smooth parts make the exponent of
+#: ``cli._smooth_part`` double, and a prime x over y = 7.
 ROW_EXPANSIONS = {
     "list 5/3": ContinuedFraction(
         F(5, 3),
@@ -150,6 +155,10 @@ ROW_EXPANSIONS = {
     "tanh 12/18": tanh_integer_cf(12, 18),
     "tanh 7/3": tanh_integer_cf(7, 3),
     "e": e_simple_cf(),
+    "tanh 2^40/1": tanh_integer_cf(2**40, 1),
+    "tanh 30030/1": tanh_integer_cf(30030, 1),
+    "tanh 1000003/7": tanh_integer_cf(1000003, 7),
+    "tanh 36/1": tanh_integer_cf(36, 1),
 }
 
 #: The characters of every row value; json writes them unescaped.
@@ -159,11 +168,82 @@ ROW_VALUE = re.compile(r"[-0-9./]+")
 @pytest.mark.parametrize("depth", (1, 2, 40, 300))
 @pytest.mark.parametrize("name", ROW_EXPANSIONS)
 def test_convergent_rows_match_reference(name, depth):
+    # tanh(2^40/1) prints gaps of over 7000 digits at depth 300, past the default limit
     cf = ROW_EXPANSIONS[name]
-    assert cli._convergent_rows(cf, depth) == reference_convergent_rows(cf, depth)
+    with int_str_limit(0):
+        assert cli._convergent_rows(cf, depth) == reference_convergent_rows(cf, depth)
 
 
 small_positive_rationals = st.builds(F, st.integers(1, 40), st.integers(1, 40))
+
+
+@st.composite
+def smooth_numbers(draw):
+    """(beta, n): beta a product of small prime powers, n a cofactor times powers of its primes."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13, 1000003]), min_size=1, unique=True))
+    beta = prod(p ** draw(st.integers(1, 4)) for p in primes)
+    n = draw(st.integers(1, 10**20))
+    for p in primes:
+        n *= p ** draw(st.integers(0, 100))
+    return beta, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(smooth_numbers(), st.integers(1, 64))
+def test_smooth_part_is_the_gcd_with_a_power_past_every_exponent(beta_n, e):
+    # n < 2^bit_length, so no prime of beta divides n more than bit_length times
+    beta, n = beta_n
+    whole = gcd(n, beta ** n.bit_length())
+    w, found = cli._smooth_part(n, beta, e)
+    assert w == whole and found >= e
+    with localcontext(cli._EXACT):
+        assert cli._smooth_part(Decimal(n), beta, e) == (w, found)
+
+
+def _preview_calls(monkeypatch):
+    """Wrap ``cli.decimal_preview``; return the list of (h, k) it is called with."""
+    calls = []
+
+    def counting(h, k, *rest, preview=cli.decimal_preview):
+        calls.append((h, k))
+        return preview(h, k, *rest)
+
+    monkeypatch.setattr(cli, "decimal_preview", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cf, depth, budget", [
+    (e_simple_cf(), 2000, 24),
+    (tanh_integer_cf(7, 3), 300, 15),
+])
+def test_convergent_tables_stay_within_their_preview_budget(monkeypatch, cf, depth, budget):
+    # Once two rows print the same preview, no later row divides: a table
+    # that previews every row divides ``depth`` times.
+    calls = _preview_calls(monkeypatch)
+    assert len(cli._convergent_rows(cf, depth)) == depth
+    assert len(calls) <= budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.builds(F, st.integers(-40, 40), st.integers(1, 40)),
+    st.lists(
+        st.builds(Term, st.builds(lambda m, d: F(10 * d + m, d), st.integers(0, 400), st.integers(1, 4)),
+                  small_positive_rationals),
+        min_size=20, max_size=80,
+    ),
+)
+def test_settled_previews_match_reference(leading, terms):
+    # Row n reuses the preview of rows n-1 and n-2 when they agree, and
+    # divides otherwise; the rows are the reference's all the same.
+    cf = ContinuedFraction(leading, ExplicitListRule(tuple(terms)))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _preview_calls(monkeypatch)
+        rows = cli._convergent_rows(cf, len(terms))
+    assert rows == reference_convergent_rows(cf, len(terms))
+    values = [row["value"] for row in rows]
+    settled = next((n for n in range(2, len(values)) if values[n - 1] == values[n - 2]), len(values))
+    assert len(calls) == settled
 
 
 @settings(max_examples=100, deadline=None)

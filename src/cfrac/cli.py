@@ -422,6 +422,8 @@ def cmd_convergents(args) -> int:
             args.parser.error("--expansion tanh requires --x and --y")
         cf = tanh_integer_cf(args.x, args.y)
     else:
+        if args.x is not None or args.y is not None:
+            args.parser.error("--expansion e takes no --x or --y")
         cf = e_simple_cf()
     if args.depth < 1:
         raise DomainError("depth must be >= 1")

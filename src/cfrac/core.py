@@ -50,9 +50,10 @@ tanh(|x|/(2y)).  A map with a pole (r != 0) bounds a state only when
 t + eps < 1, the pole test.  A leap's room, the e such that every later
 state that passes has a gap of at most tol 2^e, is 2 min(w, cap) + 1 -
 bl(|det M|), read off M and the state.  It holds at every state, so
-refinement always leaps; only at the depth cap are the states walked again,
-for DepthCapError's ``best``, the deepest state that passes the pole test.
-``_GapBound`` derives both.
+refinement always leaps.  On Gauss's fraction a state that passes the pole
+test is followed by one that passes, so at the depth cap DepthCapError's
+``best`` is the capped state's enclosure if it passes, else None, and no
+state is walked again.  ``_GapBound`` derives all three.
 Stopping tests cross-multiply: gap <= p/q is P_n q <= p k_n k_{n-1}, and
 the bound of M is within p/q when
 |det M| P_n k_n q <= p m (m k_{n-1} - |r| P_n).
@@ -427,12 +428,48 @@ class _GapBound:
     but P = k there makes w >= 3, above the cap of each matrix.
 
     ``best``.  At the depth cap, DepthCapError carries the enclosure of the
-    deepest state reached that has a bound, the one a step-by-step walk
-    would keep (``_best``).  When ``_bounded`` accepts the capped state, as
-    it always does for I, that state is the one.  Otherwise a leap may have
-    skipped states with a bound, since a state with one may be followed by
-    states without, so the states before the capped one are walked again
-    and the last one ``_bounded`` accepts is taken.  Only the cap path walks.
+    capped state if ``_bounded`` accepts it, as it always does for I, else
+    None (``_best``).  That is the deepest state reached with a bound, the
+    one a step-by-step walk would keep, because on Gauss's fraction a state
+    that passes the pole test is followed by one that passes.  A matrix with
+    r != 0 is therefore for Gauss's fraction only (``expansions._exp_bound``):
+    an explicit list may have a state with a bound followed by one without.
+
+    The proof.  Take z = X/Y > 0, b_1 = X, b_i = X^2 and a_i = (2i - 1) Y
+    (``expansions.tanh_integer_cf``), c_n = h_n/k_n with c_0 = 0 and
+    eps_n = |c_n - c_{n-1}|.  The pole test is U_n = c_n + eps_n < 1.  The
+    convergents alternate around tanh z, c_n above it at odd n, so
+    U_n = 2 c_n - c_{n-1} at odd n and U_n = c_{n-1} at even n.
+    - Odd n: U_{n+1} = c_n < U_n.
+    - Even n >= 2: U_{n+1} = c_{n-1} - eps_n + 2 eps_{n+1}, and
+      eps_{n+1}/eps_n = b_{n+1} k_{n-1}/(a_{n+1} k_n + b_{n+1} k_{n-1}) is
+      below 1/2 when X^2 k_{n-1} < (2n + 1) Y k_n.  As
+      k_n >= a_n k_{n-1} = (2n - 1) Y k_{n-1}, z^2 < (2n - 1)(2n + 1)
+      suffices, and U_n = c_{n-1} < 1 gives it (below), so U_{n+1} < U_n.
+    Write c_m = H_m/K_m over the unscaled terms 2i - 1, z, z^2 (h_m = Y^m H_m,
+    k_m = Y^m K_m).  D_m = K_m - H_m has D_0 = 1, D_1 = 1 - z and
+    D_m = (2m - 1) D_{m-1} + z^2 D_{m-2}, and so D_m = theta_m(-z) for the
+    reverse Bessel polynomial theta_m(w) = sum_j (m + j)!/(2^j j! (m - j)!) w^(m-j):
+    theta_0 = 1, theta_1 = w + 1, and
+    theta_m = (2m - 1) theta_{m-1} + w^2 theta_{m-2}, as the coefficient of
+    w^(m-j) needs 2j (2m - 1) + (m - j)(m - j - 1) = (m + j)(m + j - 1).
+    Likewise K_m + H_m = theta_m(z), so (1 + c_m)/(1 - c_m) is
+    theta_m(z)/theta_m(-z), the diagonal Pade approximant of e^(2z) (Perron,
+    *Die Lehre von den Kettenbruechen*, 1913; Grosswald, *Bessel
+    Polynomials*, LNM 698, 1978).
+    As the integral of e^(-t) t^i over t >= 0 is i!,
+    D_m 2^m m! = int_0^inf e^(-t) t^m (t - 2z)^m dt.  For odd m put
+    t = 2z(1 + u) above 2z and t = 2z(1 - s) below it:
+    D_m 2^m m! e^(2z)/(2z)^(2m+1)
+        = int_0^inf e^(-2zu) u^m (1 + u)^m du - int_0^1 e^(2zs) s^m (1 - s)^m ds.
+    As 1 + u <= e^u the first integral is at most m!/(2z - m)^(m+1), and the
+    second exceeds m!^2/(2m + 1)!, so D_m < 0 once
+    (2z - m)^(m+1) >= (m + 1)(m + 2)...(2m + 1), which the AM-GM inequality
+    gives for 2z - m >= (3m + 2)/2.  So c_m < 1 at odd m = n - 1 gives
+    z < (5n - 3)/4, and z^2 < (5n - 3)^2/16 < 4n^2 - 1.  Saff and Varga bound
+    every zero of the Pade numerator by |2z| < 2m + 4/3 ("On the zeros and
+    poles of Pade approximants to e^z. III", Numer. Math. 30, 1978); the
+    cruder bound suffices here.
     """
 
     def __init__(self, cf: ContinuedFraction, matrix=((1, 0), (0, 1))):
@@ -485,13 +522,8 @@ class _GapBound:
         )
 
     def _best(self) -> ApproximationResult | None:
-        """DepthCapError's ``best``: the enclosure of the deepest state reached that has a bound, or None."""
-        best = self.state if self._bounded(self.state) else None
-        if best is None:
-            for state in islice(_walk(self.cf), 1, self.state[0]):
-                if self._bounded(state):
-                    best = state
-        return best and _approximation(*self._enclosure(best))
+        """DepthCapError's ``best``: the capped state's enclosure if it has a bound, else None."""
+        return _approximation(*self._enclosure(self.state)) if self._bounded(self.state) else None
 
     def _room(self, state: tuple) -> int:
         """e such that every state past ``state`` that passes ``stop(tol)`` has gap <= tol 2^e."""
@@ -570,8 +602,9 @@ class _GapBound:
         would.  ``state`` keeps the last state reached, also when a finite
         expansion runs out.  Each leap aims at ``max_depth``.  Past
         ``max_depth`` terms raises DepthCapError, whose ``best`` (``_best``) is
-        the deepest state reached with a bound, or None if no state had one;
-        its message writes ``tol`` as str() would, at any size.
+        the enclosure of the state reached if it has a bound, else None, as
+        no earlier state then had one; its message writes ``tol`` as str()
+        would, at any size.
         """
         stop, state, p_tol, q_tol = self.stop(tol), self.state, tol.numerator, tol.denominator
         while not (state[0] and stop(state)):

@@ -31,7 +31,9 @@ class NonPositiveTermError(DomainError):
 class DepthCapError(RuntimeError):
     """The tolerance was not reached within the depth cap.
 
-    ``best`` holds the deepest approximation computed before giving up.
+    ``best`` holds the deepest approximation with an error bound computed
+    before giving up, or None when no state had one: an exp evaluation
+    capped before its tanh interval lies below 1.
     """
 
     def __init__(self, message, best):

@@ -289,6 +289,13 @@ def test_convergents_tanh_missing_xy_is_usage_error(capsys):
     assert "requires --x and --y" in err
 
 
+@pytest.mark.parametrize("given", (("--x", "5"), ("--y", "2"), ("--x", "5", "--y", "2")))
+def test_convergents_e_with_x_or_y_is_usage_error(capsys, given):
+    code, out, err = run_cli(capsys, "convergents", "--expansion", "e", *given, "--depth", "3")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: --expansion e takes no --x or --y\n")
+
+
 def test_convergents_bad_y_is_domain_error(capsys):
     code, _, err = run_cli(
         capsys, "convergents", "--expansion", "tanh", "--x", "1", "--y", "0"

@@ -11,6 +11,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
+from math import factorial, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -521,23 +522,30 @@ def test_the_digits_grid_stays_within_its_stop_test_budget(monkeypatch):
 
 @pytest.mark.parametrize("sign", [1, -1], ids=["x > 0", "x < 0"])
 @pytest.mark.parametrize(
-    "leading, pairs, cap, depth",
+    "expansion, cap, depth",
     [
-        (0, ((3, 2), (1, 5), (1, 30), (2, 1)), 3, 2),  # t + eps is 4/3, 2/3, 199/196
-        (0, ((3, 2), (1, 30), (1, 100), (1, 100), (1, 100), (2, 1)), 5, 4),  # bounds at 2 and 4 only
-        (-3, ((1, 2), (2, 1)), 1, None),  # the bit-length pole test would pass depth 0
+        (80, 60, None),  # Gauss's fraction at 80/2: the first state with a bound is 61
+        (80, 61, 61),
+        (80, 62, 62),
+        (400, 302, None),  # at 400/2, 303
+        (400, 303, 303),
+        (400, 304, 304),
+        # [-3; (1, 2), (2, 1)]: the bit-length pole test would pass depth 0
+        (ContinuedFraction(F(-3), ExplicitListRule((Term(F(1), F(2)), Term(F(2), F(1))))), 1, None),
     ],
 )
-def test_a_cap_past_states_with_a_bound_carries_the_deepest_as_best(sign, leading, pairs, cap, depth):
-    # The leap to the cap skips the states with a bound under either exp
-    # map; ``best`` is the deepest that a step-by-step walk with the exact
-    # pole test keeps.
-    cf = ContinuedFraction(F(leading), ExplicitListRule(tuple(Term(F(a), F(b)) for a, b in pairs)))
-    bound = core._GapBound(cf, ((sign, 1), (-sign, 1)))
+def test_a_cap_past_states_with_a_bound_carries_the_deepest_as_best(sign, expansion, cap, depth):
+    # Caps before, at and past the first state with a bound, under either
+    # exp map; ``best`` is the deepest state that a step-by-step walk with
+    # the exact pole test keeps.
+    if isinstance(expansion, int):
+        bound = expansions._exp_bound(sign * expansion, 1)
+    else:
+        bound = core._GapBound(expansion, ((sign, 1), (-sign, 1)))
     with pytest.raises(DepthCapError) as info:
-        bound.refine(F(1, 10**50), cap)
+        bound.refine(F(1, 10**300), cap)
     walked = None
-    for n, _, h, k_prev, k, p in islice(core._walk(cf), 1, cap + 1):
+    for n, _, h, k_prev, k, p in islice(core._walk(bound.cf), 1, cap + 1):
         t, eps = F(h, k), F(p, k * k_prev)
         if t + eps < 1:
             m = 1 - sign * t
@@ -547,15 +555,18 @@ def test_a_cap_past_states_with_a_bound_carries_the_deepest_as_best(sign, leadin
 
 
 @pytest.mark.parametrize(
-    "call, walks",
+    "call",
     [
-        (lambda: tanh_rational(1, 2, F(1, 10**100), 5), 0),
-        (lambda: exp_rational(60, 1, F(1, 10**100), 60), 0),  # the capped state has a bound
-        (lambda: exp_rational(80, 1, F(1, 10**100), 20), 1),
+        lambda: tanh_rational(1, 2, F(1, 10**100), 5),
+        lambda: exp_rational(60, 1, F(1, 10**100), 60),  # the capped state has a bound
+        lambda: exp_rational(80, 1, F(1, 10**100), 20),
     ],
     ids=["tanh", "exp, bound at the cap", "exp, no bound at the cap"],
 )
-def test_only_a_cap_at_a_state_with_no_bound_walks_again(monkeypatch, call, walks):
+def test_only_a_cap_at_a_state_with_no_bound_walks_again(monkeypatch, call):
+    # No cap walks the states again, whether or not its state has a bound:
+    # on Gauss's fraction no earlier state has one when the capped state has
+    # none (``core._GapBound``).
     walked = []
     walk = core._walk
 
@@ -566,7 +577,63 @@ def test_only_a_cap_at_a_state_with_no_bound_walks_again(monkeypatch, call, walk
     monkeypatch.setattr(core, "_walk", counted)
     with pytest.raises(DepthCapError):
         call()
-    assert len(walked) == walks
+    assert walked == []
+
+
+def _unscaled_gauss(z, m):
+    """(H_m, K_m) of tanh z over the unscaled terms a_i = 2i - 1, b_1 = z, b_i = z^2."""
+    h_prev, h, k_prev, k = 1, F(0), 0, F(1)
+    for i in range(1, m + 1):
+        a, b = 2 * i - 1, z if i == 1 else z * z
+        h_prev, h, k_prev, k = h, a * h + b * h_prev, k, a * k + b * k_prev
+    return h, k
+
+
+def _pade(m, w):
+    """A_m(w), the numerator of the [m/m] Pade approximant A_m(w)/A_m(-w) of e^w."""
+    f = factorial
+    return sum(F(f(2 * m - j) * f(m), f(2 * m) * f(j) * f(m - j)) * w**j for j in range(m + 1))
+
+
+def _reverse_bessel(m, w):
+    """theta_m(w) = sum_j (m + j)!/(2^j j! (m - j)!) w^(m-j)."""
+    f = factorial
+    return sum(F(f(m + j), 2**j * f(j) * f(m - j)) * w ** (m - j) for j in range(m + 1))
+
+
+@pytest.mark.parametrize("z", [F(1, 3), F(1), F(5, 2), F(40), F(355, 113)])
+def test_gauss_convergents_are_pade_approximants_of_exp(z):
+    # The steps of the proof in ``core._GapBound``, in exact arithmetic:
+    # (1 + c_m)/(1 - c_m) = A_m(2z)/A_m(-2z), cross-multiplied so that
+    # c_m = 1 is allowed; K_m -+ H_m = theta_m(-+z); and c_m > 1 at odd m
+    # once z >= (5m + 2)/4.
+    for m in range(13):
+        h, k = _unscaled_gauss(z, m)
+        c = h / k
+        assert (1 + c) * _pade(m, -2 * z) == (1 - c) * _pade(m, 2 * z)
+        assert (k - h, k + h) == (_reverse_bessel(m, -z), _reverse_bessel(m, z))
+        if m % 2 and z >= F(5 * m + 2, 4):
+            assert c > 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10**4), st.integers(1, 50))
+@example(10**4, 1)
+@example(80, 2)
+def test_on_gauss_fraction_a_state_with_a_bound_is_followed_by_one(x, y):
+    # Over states 1 to 2z + 40 of tanh(X/Y), X/Y reduced: the pole test fails
+    # and then passes for good (the first state with a bound is near 1.5 z),
+    # and at every even n with c_{n-1} < 1, X^2 k_{n-1} <= (2n + 1) Y k_n.
+    g = gcd(x, y)
+    x, y = x // g, y // g
+    bound, bounded = core._GapBound(tanh_integer_cf(x, y), ((1, 1), (-1, 1))), False
+    for state in islice(core._walk(bound.cf), 1, 2 * x // y + 41):
+        n, h_prev, _, k_prev, k, _ = state
+        was, bounded = bounded, bound._bounded(state)
+        assert bounded or not was
+        if n % 2 == 0 and h_prev < k_prev:
+            assert x * x * k_prev <= (2 * n + 1) * y * k
+    assert bounded
 
 
 # ------------------------------------------------- regressions, fixed depths

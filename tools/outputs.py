@@ -6,7 +6,7 @@ code, stdout and stderr are hashed.  A certificates request runs
 ``certify --out FILE``, tampers with the file as the bench harness does
 (``bench.workloads.tamper_certificate``), then runs ``verify FILE``; its digest
 also covers the file as written.  The ``cli`` section covers ``--help`` of the
-program and of each subcommand and three usage errors, and the ``demos``
+program and of each subcommand and four usage errors, and the ``demos``
 section the output of each script in ``demos/``.  The ``library`` section calls
 the evaluators directly at bench sizes: for each distinct ``digits`` request
 ``exp_rational`` or ``tanh_rational`` at tolerance 10^-(N+2) for N digits, the
@@ -14,7 +14,10 @@ same with ``max_depth=5``, and ``certified_enclosures`` at 10^-(N+2), 10^-(N+6)
 and 10^-(N+10); then ``evaluate`` on e at 10^-k and on a list that runs out,
 and the edge arms of the engine: ``convergents`` of e and of tanh(x/y), with
 x/y reduced and not, and of a list at its length and one past it,
-``evaluate`` on an empty list and on a list with a negative term.
+``evaluate`` on an empty list and on a list with a negative term, and
+``exp_rational`` capped at 3000 terms for x = +-10^4 at 10^-10 (no state
+with a bound yet) and at 304 terms for x = +-400 at 10^-300 (one past the
+first state with one).
 Each returned integer is hashed in hex, so no int-str limit applies; an
 exception is hashed by its type, its message and the ``best`` it carries.
 
@@ -127,6 +130,7 @@ def _cli_lines(rec: _Recorder) -> list[str]:
         *((name, "--help") for name in SUBCOMMANDS),
         ("digits", "--expr", "exp", "--x", "1", "--y", "2", "--digits", "5", "--bogus"),
         ("convergents", "--expansion", "tanh", "--depth", "3"),
+        ("convergents", "--expansion", "e", "--x", "5", "--depth", "3"),
         ("verify", str(rec.tmp / "missing.json")),
     ]
     lines = []
@@ -202,6 +206,8 @@ def _library_lines(seeds) -> list[str]:
     empty = ContinuedFraction(Fraction(5, 3), ExplicitListRule(()))
     cases.append(("evaluate [5/3] 10^-100", evaluate, empty, tiny))
     cases.append(("evaluate [1; 2, -3, 4] 10^-100", evaluate, listed(2, -3, 4), tiny))
+    cases += [(f"exp_rational {x}/1 10^-{k} cap {cap}", exp_rational, x, 1, Fraction(1, 10**k), cap)
+              for x, k, cap in ((10**4, 10, 3000), (-10**4, 10, 3000), (400, 300, 304), (-400, 300, 304))]
     for label, fn, *args in cases:
         code, fields = _outcome(fn, *args)
         lines.append(_line([code], fields, label))

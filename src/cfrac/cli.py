@@ -1,7 +1,9 @@
 """Command-line surface: convergent tables, certified digits, certificates.
 
 Subcommands: ``convergents``, ``digits``, ``certify``, ``verify``.  Data goes
-to stdout (or ``--out FILE``); diagnostics go to stderr.  Exit codes: 0 on
+to stdout (or ``--out FILE``, rewritten in place and truncated to the new
+length when it is a regular file; the write is neither atomic nor synced,
+see ``_emit``); diagnostics go to stderr.  Exit codes: 0 on
 success; 1 on every refusal (a ``DomainError``: bad x/y, digit cap, depth
 over budget), on failed verification and on an ``--out`` that cannot be
 written (a directory, or a file in a missing directory); 2 on usage errors
@@ -41,7 +43,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
+from collections.abc import Callable
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -58,8 +63,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 from math import gcd, lcm
-from pathlib import Path
-from typing import Callable
 
 from . import __version__
 from .core import _CHUNK_DIGITS, DEPTH_CAP, _compare_products, _decimal, _integer_terms, _walk
@@ -186,10 +189,6 @@ def _integer(digits: str) -> int:
     return _integer(digits[:-low]) * 10**low + _integer(digits[-low:])
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 #: A certificate as ``json.dumps(payload, indent=2)`` writes it, keys in the
 #: order of CERTIFICATE_KEYS.  The integers are ``_decimal`` strings, made of
 #: "-" and 0-9, and the version is a constant that needs no escaping either
@@ -259,10 +258,22 @@ def certificate_to_text(cert: IrrationalityCertificate) -> str:
 
 
 def _emit(args, render_json: Callable[[], str], render_text: Callable[[], str]) -> int:
-    """Render only the format ``--format`` asks for; write it to ``--out`` or stdout."""
+    """Render only the format ``--format`` asks for; write it to ``--out`` or stdout.
+
+    ``--out`` is rewritten in place: opened without truncation, written from
+    its start, then truncated at the end of the new text if it is a regular
+    file (a device such as /dev/null cannot be truncated).  A truncation to
+    zero would make ext4 start writeback of the file on close, the largest
+    single cost of a certificate request.  The write is neither
+    atomic nor synced: a crash can leave the old bytes, the new ones, or the
+    old ones cut to the new length, which ``verify`` refuses as malformed.
+    """
     text = render_json() if args.format == "json" else render_text()
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
+            f.write(text)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     else:
         sys.stdout.write(text)
     return 0
@@ -445,7 +456,7 @@ def cmd_digits(args) -> int:
         "cfDepth": depth,
     }
     text = "{value}\nguaranteed digits: {guaranteedDigits}\nexpansion depth: {cfDepth}\n"
-    return _emit(args, lambda: _json(payload), lambda: text.format_map(payload))
+    return _emit(args, lambda: json.dumps(payload, indent=2) + "\n", lambda: text.format_map(payload))
 
 
 def cmd_certify(args) -> int:
@@ -455,7 +466,8 @@ def cmd_certify(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        raw = Path(args.certificate).read_text(encoding="utf-8")
+        with open(args.certificate, encoding="utf-8") as f:
+            raw = f.read()
     except OSError as exc:
         raise CertificateFormatError(f"cannot read certificate: {exc}") from exc
     cert = certificate_from_json(raw)

@@ -73,11 +73,11 @@ walk or a bound belongs to the one evaluation that made it.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from math import prod
-from typing import Callable, Union
 
 from .errors import (
     DepthCapError,
@@ -201,7 +201,7 @@ class ScaledRule:
         return Term(c * base.a, c * c_prev * base.b)
 
 
-TermRule = Union[ClosedFormRule, ExplicitListRule, EPatternRule, ScaledRule]
+TermRule = ClosedFormRule | ExplicitListRule | EPatternRule | ScaledRule
 
 
 @dataclass(frozen=True)
@@ -665,7 +665,7 @@ def evaluate(
         return _approximation(h, k, 0, 1, n)
 
 
-Scales = Union[Fraction, int, Callable[[int], Fraction]]
+Scales = Fraction | int | Callable[[int], Fraction]
 
 
 def equivalence_transform(cf: ContinuedFraction, scales: Scales) -> ContinuedFraction:

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -655,8 +656,51 @@ def test_help_exits_zero(capsys):
 @pytest.mark.parametrize("target", ("directory", "missing/table.txt"))
 def test_unwritable_out_exits_one(capsys, tmp_path, command, target):
     (tmp_path / "directory").mkdir()
-    code, out, err = run_cli(capsys, *command, "--out", str(tmp_path / target))
+    path = tmp_path / target
+    with pytest.raises(OSError) as unwritable:
+        open(path, "w")
+    # stderr carries the message open(path, "w") raises: [Errno 21] or [Errno 2]
+    code, out, err = run_cli(capsys, *command, "--out", str(path))
     assert (code, out) == (1, "") and err.startswith("error: [Errno")
+    assert err == f"error: {unwritable.value}\n"
+
+
+#: One request of each command that writes ``--out``.
+OUT_COMMANDS = (
+    ("convergents", "--expansion", "e", "--depth", "3"),
+    ("digits", "--expr", "exp", "--x", "1", "--y", "2", "--digits", "5"),
+    ("certify", "--x", "1000001", "--y", "3", "--format", "json"),
+)
+
+
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+@pytest.mark.parametrize("old", ("longer", "shorter"))
+def test_out_over_an_existing_file_holds_exactly_the_printed_bytes(capsys, tmp_path, command, old):
+    code, printed, _ = run_cli(capsys, *command)
+    assert code == 0
+    path = tmp_path / "out"
+    path.write_bytes(b"9" * (len(printed) + 100 if old == "longer" else len(printed) // 2))
+    assert run_cli(capsys, *command, "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == printed.encode()
+
+
+def test_out_keeps_the_permission_bits_of_an_existing_file(capsys, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    assert run_cli(capsys, *OUT_COMMANDS[2], "--out", str(path))[0] == 0
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    # a new file gets the mode open(path, "w") would give it
+    (tmp_path / "reference").write_text("")
+    assert run_cli(capsys, *OUT_COMMANDS[2], "--out", str(tmp_path / "new.json"))[0] == 0
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("reference", "new.json")}
+    assert len(modes) == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+@pytest.mark.parametrize("command", OUT_COMMANDS)
+def test_out_dev_null_exits_zero_and_prints_nothing(capsys, command):
+    assert run_cli(capsys, *command, "--out", "/dev/null") == (0, "", "")
 
 
 # ------------------------------------------------------------ one process

@@ -37,3 +37,15 @@ def test_every_public_name_resolves():
     exec("from cfrac import *", namespace)
     assert len(set(cfrac.__all__)) == len(cfrac.__all__) == 32
     assert all(name in namespace for name in cfrac.__all__)
+
+
+def test_import_cfrac_cli_loads_neither_pathlib_nor_typing():
+    # -S leaves out site, which imports both in some installs, so only cfrac's
+    # own imports are seen.
+    src = str(Path(cfrac.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, cfrac.cli; print(sorted({'pathlib', 'typing'} & sys.modules.keys()))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

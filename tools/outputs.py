@@ -18,12 +18,16 @@ x/y reduced and not, and of a list at its length and one past it,
 ``exp_rational`` capped at 3000 terms for x = +-10^4 at 10^-10 (no state
 with a bound yet) and at 304 terms for x = +-400 at 10^-300 (one past the
 first state with one).
+The ``overwrite`` section certifies 1000001/3 with ``--out FILE`` and then
+5/1 to the same file without removing it, so the second certificate is
+written over a longer one; each line covers the file as written and the
+output of ``verify FILE``.
 Each returned integer is hashed in hex, so no int-str limit applies; an
 exception is hashed by its type, its message and the ``best`` it carries.
 
 Usage: ``python tools/outputs.py [SECTION ...] [--seeds N ...]``, where a
-section is a workload name, ``cli``, ``demos`` or ``library`` (default: all of
-them) and the seeds default to 1 2 3.  Each line reads
+section is a workload name, ``cli``, ``demos``, ``library`` or ``overwrite``
+(default: all of them) and the seeds default to 1 2 3.  Each line reads
 ``<exit codes>  <digest>  <request>``; in ``library`` the codes are ``ok`` or
 the type of the exception, one per call.
 The tool imports ``cfrac`` from the ``src/`` and ``bench`` from the checkout it
@@ -62,7 +66,7 @@ from cfrac.expansions import (  # noqa: E402
     tanh_rational,
 )
 
-SECTIONS = (*WORKLOADS, "cli", "demos", "library")
+SECTIONS = (*WORKLOADS, "cli", "demos", "library", "overwrite")
 SUBCOMMANDS = ("convergents", "digits", "certify", "verify")
 
 
@@ -149,6 +153,18 @@ def _demo_lines(rec: _Recorder) -> list[str]:
     return lines
 
 
+def _overwrite_lines(rec: _Recorder) -> list[str]:
+    path, lines = rec.tmp / "overwrite.json", []
+    for x, y in (("1000001", "3"), ("5", "1")):
+        argv = ("certify", "--x", x, "--y", y, "--format", "json", "--out", str(path))
+        code, texts = rec.cli(*argv)
+        written = path.read_text(encoding="utf-8")
+        verify_code, verify_texts = rec.cli("verify", str(path))
+        label = " ".join(argv).replace(str(rec.tmp), "<tmp>")
+        lines.append(_line([code, verify_code], [*texts, written, *verify_texts], label))
+    return lines
+
+
 def _hex(value) -> str:
     """``value`` with every integer in hex: the int-str limit applies only to decimal."""
     if isinstance(value, int):
@@ -232,6 +248,8 @@ def main(argv=None) -> None:
                 lines = _demo_lines(rec)
             elif section == "library":
                 lines = _library_lines(args.seeds)
+            elif section == "overwrite":
+                lines = _overwrite_lines(rec)
             else:
                 lines = _workload_lines(rec, section, args.seeds)
             for line in lines:

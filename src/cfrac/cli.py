@@ -30,8 +30,9 @@ print in linear time; a row that would print an integer past the
 interpreter's limit fails as str() of that integer would.  Each row is also
 built in time linear in its digits (``_convergent_rows``, a ``zip`` of the
 states of ``core._walk`` with the terms that made them).  The gap
-denominator k_n k_{n-1} comes from a recurrence with term-sized multipliers,
-not from a full-size product.  A tanh row with |D_n| > 1 finds the common
+denominator k_n k_{n-1} is not a full-size product: it comes from a
+recurrence of at most four products per row, each by a term-sized
+multiplier other than 1.  A tanh row with |D_n| > 1 finds the common
 factor of its gap from the parts of k_n and k_{n-1} made of primes of x, so
 it divides full-size integers only by numbers of that factor's size.  Once
 two rows print the same 20-digit preview, every later row prints it too, so
@@ -321,15 +322,19 @@ def _convergent_rows(cf, depth: int) -> list[dict]:
     ``core._walk`` runs in Decimal integers in an exact context, so every
     row prints in time linear in its digits, and the gap denominator
     Q_n = k_n k_{n-1} is not formed as a full-size product either.  With
-    S_n = k_n^2 and k_n = a_n k_{n-1} + b_n k_{n-2}:
+    S_n = k_n^2, k_n = a_n k_{n-1} + b_n k_{n-2} and t = b_n Q_{n-1}:
 
-        Q_n = a_n k_{n-1}^2 + b_n k_{n-1} k_{n-2} = a_n S_{n-1} + b_n Q_{n-1}
-        S_n = a_n^2 S_{n-1} + 2 a_n b_n Q_{n-1} + b_n^2 S_{n-2}
+        Q_n = a_n k_{n-1}^2 + b_n k_{n-1} k_{n-2} = a_n S_{n-1} + t
+        S_n = k_n (a_n k_{n-1} + b_n k_{n-2})
+            = a_n Q_n + b_n (a_n Q_{n-1} + b_n S_{n-2}) = a_n (Q_n + t) + b_n^2 S_{n-2}
 
     from k_{-1} = 0 and k_0 = c_0, that is S_{-1} = 0, S_0 = c_0^2 and
-    Q_0 = 0.  The terms come from a second ``_integer_terms(cf)``, zipped
-    with the walk's states, so every multiplier is term-sized.  The zip pulls
-    the state first: a table of ``depth`` rows never asks for term depth + 1.
+    Q_0 = 0.  That is four full-size products per row: by b_n in t, by a_n
+    twice and by b_n^2.  A product whose multiplier is 1 is skipped, as in
+    ``core._walk``.  The terms come from a second ``_integer_terms(cf)``,
+    zipped with the walk's states, so every multiplier is term-sized.  The
+    zip pulls the state first: a table of ``depth`` rows never asks for term
+    depth + 1.
 
     Reduction.  By the determinant identity a common divisor of h_n and k_n
     divides P_n, and so does one of P_n and Q_n: a row with P_n = 1 is in
@@ -359,8 +364,10 @@ def _convergent_rows(cf, depth: int) -> list[dict]:
     with localcontext(_EXACT):
         states = islice(_walk(cf, num=Decimal), 1, depth + 1)
         for (n, _, h, k_prev, k, p), (a, b) in zip(states, _integer_terms(cf)):
-            den = a * s_1 + b * q_1
-            s_2, s_1, q_1 = s_1, a * a * s_1 + 2 * a * b * q_1 + b * b * s_2, den
+            t = q_1 if b == 1 else b * q_1
+            den = (s_1 if a == 1 else a * s_1) + t
+            s = den + t
+            s_2, s_1, q_1 = s_1, (s if a == 1 else a * s) + (s_2 if b == 1 else b * b * s_2), den
             if beta % b:
                 beta, w_prev = lcm(beta, b), None
             if beta > 1:

@@ -28,7 +28,10 @@ no convergent changes.  ``_walk`` is the generator of every state, for the
 views that need every row: ``convergents`` and the convergent tables of
 ``cli``.  It only adds, multiplies and compares, so the state may be any
 exact integer type: the tables walk it in ``decimal.Decimal`` integers under
-an exact context, which print in linear time.
+an exact context, which print in linear time.  A term equal to 1 costs an
+addition, not a product: the walk scales (h_{n-1}, k_{n-1}, P) by b only
+when b != 1, and when a = 1 the new h and k are plain sums.  In the simple
+continued fraction of e every b and two thirds of the a are 1.
 
 Certified evaluation (``_GapBound.refine``) needs only the first state that
 meets a tolerance, so it leaps: the terms ahead are folded into a 2x2
@@ -355,15 +358,20 @@ def _walk(cf: ContinuedFraction, num=int):
     state.  The terms are ints; ``num`` converts the five integers of the
     state at depth 0 (``_origin``), and may be any exact integer type that
     adds and multiplies with ints, such as Decimal under a context that traps
-    Inexact.
+    Inexact.  A term equal to 1 costs an addition, not a product: the step
+    scales (h_{n-1}, k_{n-1}, P) by b only when b != 1 and multiplies h and
+    k by a only when a != 1, so it makes at most five products.
     """
     n, h_prev, h, k_prev, k, p = 0, *map(num, _origin(cf)[1:])
     yield n, h_prev, h, k_prev, k, p
     for a, b in _integer_terms(cf):
         n += 1
-        h_prev, h = h, a * h + b * h_prev
-        k_prev, k = k, a * k + b * k_prev
-        p *= b
+        if b != 1:
+            h_prev, k_prev, p = b * h_prev, b * k_prev, b * p
+        if a == 1:
+            h_prev, h, k_prev, k = h, h + h_prev, k, k + k_prev
+        else:
+            h_prev, h, k_prev, k = h, a * h + h_prev, k, a * k + k_prev
         yield n, h_prev, h, k_prev, k, p
 
 

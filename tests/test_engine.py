@@ -8,7 +8,7 @@ finite lists and the index of a non-positive term.
 """
 
 import time
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import islice
 from math import factorial, gcd
@@ -338,6 +338,83 @@ def test_exhausted_list_behind_a_scale_is_exact():
     got = evaluate(cf, F(1, 10**6))
     assert _fields(got) == _fields(reference_evaluate(cf, F(1, 10**6)))
     assert got.error_bound == 0 and got.depth == 1
+
+
+# ------------------------------------------------- terms equal to 1
+
+
+def plain_walk(cf, depth):
+    """The states of ``core._walk`` to ``depth``, by the recurrence as written: a product per multiplier."""
+    n, h_prev, h, k_prev, k, p = core._origin(cf)
+    states = [(n, h_prev, h, k_prev, k, p)]
+    for a, b in islice(core._integer_terms(cf), depth):
+        n += 1
+        h_prev, h = h, a * h + b * h_prev
+        k_prev, k = k, a * k + b * k_prev
+        p *= b
+        states.append((n, h_prev, h, k_prev, k, p))
+    return states
+
+
+@st.composite
+def unit_term_lists(draw):
+    """A rational leading term and an explicit list of integer terms, most of them 1."""
+    mostly_one = st.sampled_from([1, 1, 1, 2, 3])
+    terms = draw(st.lists(st.builds(Term, mostly_one, mostly_one), min_size=1, max_size=40))
+    return ContinuedFraction(draw(rationals), ExplicitListRule(terms))
+
+
+# b != 1 at rows 3 and 5 reaches S_n and Q_n two rows later; c_0 = 2 makes b_1' = 4
+_MIXED_UNITS = [(1, 2), (2, 1), (1, 3), (1, 1), (3, 2), (1, 1), (2, 1)]
+
+
+@PROPERTY
+@given(unit_term_lists())
+@example(ContinuedFraction(F(1, 2), ExplicitListRule(Term(a, b) for a, b in _MIXED_UNITS)))
+def test_unit_terms_walk_and_tabulate_as_the_plain_recurrence(cf):
+    depth = len(cf.rule)
+    expected = plain_walk(cf, depth)
+    assert list(islice(core._walk(cf), depth + 1)) == expected
+    with localcontext(cli._EXACT):
+        decimals = list(islice(core._walk(cf, num=Decimal), depth + 1))
+    assert decimals == expected
+    assert {type(x) for state in decimals for x in state[1:]} == {Decimal}
+    assert cli._convergent_rows(cf, depth) == reference_convergent_rows(cf, depth)
+
+
+class Counting:
+    """An int wrapper that counts its multiplications in ``Counting.products``."""
+
+    products = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __int__(self):
+        return self.value
+
+    def __add__(self, other):
+        return Counting(self.value + int(other))
+
+    def __mul__(self, other):
+        Counting.products += 1
+        return Counting(self.value * int(other))
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+@pytest.mark.parametrize(
+    "cf, depth, products",
+    [
+        (e_simple_cf(), 300, 200),  # two per term with a != 1, none for b = 1
+        (tanh_integer_cf(7, 3), 50, 250),  # no term is 1: five per term
+    ],
+)
+def test_a_term_equal_to_one_costs_no_product(monkeypatch, cf, depth, products):
+    monkeypatch.setattr(Counting, "products", 0)
+    states = list(islice(core._walk(cf, num=Counting), depth + 1))
+    assert Counting.products == products
+    assert [(n, *map(int, rest)) for n, *rest in states] == plain_walk(cf, depth)
 
 
 # ------------------------------------------------- the edges of a leap

@@ -17,7 +17,9 @@ x/y reduced and not, and of a list at its length and one past it,
 ``evaluate`` on an empty list and on a list with a negative term, and
 ``exp_rational`` capped at 3000 terms for x = +-10^4 at 10^-10 (no state
 with a bound yet) and at 304 terms for x = +-400 at 10^-300 (one past the
-first state with one).
+first state with one), and last ``convergents`` of tanh(1/3), whose
+partial numerators are all 1, and of a list that mixes terms equal to 1
+with others in both a and b.
 The ``overwrite`` section certifies 1000001/3 with ``--out FILE`` and then
 5/1 to the same file without removing it, so the second certificate is
 written over a longer one; each line covers the file as written and the
@@ -224,6 +226,11 @@ def _library_lines(seeds) -> list[str]:
     cases.append(("evaluate [1; 2, -3, 4] 10^-100", evaluate, listed(2, -3, 4), tiny))
     cases += [(f"exp_rational {x}/1 10^-{k} cap {cap}", exp_rational, x, 1, Fraction(1, 10**k), cap)
               for x, k, cap in ((10**4, 10, 3000), (-10**4, 10, 3000), (400, 300, 304), (-400, 300, 304))]
+    # Each arm of a term equal to 1: b = 1 with a != 1, and a list with unit and non-unit a and b
+    cases.append(("convergents tanh(1/3) 300", convergents, tanh_integer_cf(1, 3), 300))
+    units = [(1, 1), (2, 1), (1, 3), (4, 2), (1, 1), (1, 5), (3, 1), (1, 1), (2, 2), (1, 1)] * 6
+    mixed = ContinuedFraction(Fraction(3, 2), ExplicitListRule(Term(a, b) for a, b in units))
+    cases.append(("convergents [3/2; unit and non-unit a and b] 60", convergents, mixed, 60))
     for label, fn, *args in cases:
         code, fields = _outcome(fn, *args)
         lines.append(_line([code], fields, label))

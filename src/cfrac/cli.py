@@ -23,9 +23,9 @@ straddles a truncation boundary simply forces the next round.
 
 str() of an int is quadratic in its length, and CPython refuses it past
 ``sys.get_int_max_str_digits()`` digits.  Digits and certificate integers are
-rendered (``core._decimal``) and parsed in chunks below the smallest limit
-the interpreter accepts, so they print at any size.  Convergent tables are
-walked in base-10 integers (``decimal.Decimal`` under an exact context), which
+rendered (``core._decimal``) and parsed (``core._integer``) in chunks below
+the smallest limit the interpreter accepts, so they print at any size.
+Convergent tables are walked in base-10 integers (``decimal.Decimal`` under an exact context), which
 print in linear time; a row that would print an integer past the
 interpreter's limit fails as str() of that integer would.  Each row is also
 built in time linear in its digits (``_convergent_rows``, a ``zip`` of the
@@ -66,7 +66,7 @@ from itertools import count, islice
 from math import gcd, lcm
 
 from . import __version__
-from .core import _CHUNK_DIGITS, DEPTH_CAP, _compare_products, _decimal, _integer_terms, _walk
+from .core import DEPTH_CAP, _compare_products, _decimal, _integer, _integer_terms, _walk
 from .errors import (
     CertificateFormatError,
     DepthCapError,
@@ -106,26 +106,18 @@ _EXACT = Context(
 )
 
 
-@lru_cache(maxsize=32)
-def _preview_context(sig: int) -> Context:
-    """The context of ``decimal_preview`` at ``sig`` digits, built once per ``sig``.
-
-    Every call at that ``sig`` shares it; the divisions set its status
-    flags, which nothing reads.
-    """
-    return Context(prec=sig, rounding=ROUND_DOWN)
-
-
 def decimal_preview(h, k, sig: int = PREVIEW_DIGITS) -> str:
     """h/k truncated to ``sig`` significant digits.  Display only.
 
     h and k > 0 are ints or integer-valued Decimals.  The division is
     correctly rounded toward zero at ``sig`` digits, so its digits are those
     of the exact quotient; an integer part longer than that is printed whole.
+    Each call builds its own context: a table makes few calls (24 for e to
+    depth 2000), as a row reuses a preview once two rows print the same one.
     """
     if h == 0:
         return "0"
-    quotient = _preview_context(sig).divide(h, k)
+    quotient = Context(prec=sig, rounding=ROUND_DOWN).divide(h, k)
     places = sig - 1 - quotient.adjusted()
     if places < 0:
         with localcontext(_EXACT):
@@ -180,14 +172,6 @@ def certified_digits(expr: str, x: int, y: int, digits: int) -> tuple[str, str, 
         if pinned is not None:
             text = _decimal(pinned).rjust(digits + 1, "0")
             return text[:-digits], text[-digits:], depth
-
-
-def _integer(digits: str) -> int:
-    """int(digits) for a run of ASCII digits of any length, parsed in halves."""
-    if len(digits) <= _CHUNK_DIGITS:
-        return int(digits)
-    low = len(digits) // 2
-    return _integer(digits[:-low]) * 10**low + _integer(digits[-low:])
 
 
 #: A certificate as ``json.dumps(payload, indent=2)`` writes it, keys in the

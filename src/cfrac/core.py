@@ -60,14 +60,15 @@ state is walked again.  ``_GapBound`` derives all three.
 Stopping tests cross-multiply: gap <= p/q is P_n q <= p k_n k_{n-1}, and
 the bound of M is within p/q when
 |det M| P_n k_n q <= p m (m k_{n-1} - |r| P_n).
-A bit-length test may reject a state before multiplying; bit lengths fix a
-product only within a factor of two, so that test is a necessary condition
-for passing, never a sufficient one.  A state it lets through is decided by
-``_compare_products``, a filtered exact comparison: the leading 64 bits of
-each factor bracket each product, and only brackets that overlap are
-multiplied out.  Either way the answer is that of the exact comparison, so
-no depth depends on the filter.  Fractions are built only for results;
-``_decimal`` prints an int of any size, past the interpreter's int-str limit.
+In ``stop`` and in the leap a bit-length test may reject a state before
+multiplying; bit lengths fix a product only within a factor of two, so that
+test is a necessary condition for passing, never a sufficient one.  A state
+it lets through, and every pole test, is decided by ``_compare_products``, a
+filtered exact comparison: the leading 64 bits of each factor bracket each
+product, and only brackets that overlap are multiplied out.  Either way the
+answer is that of the exact comparison, so no depth depends on the filter.
+Fractions are built only for results; ``_decimal`` prints an int of any
+size, past the interpreter's int-str limit, and ``_integer`` parses one.
 
 Expansions are immutable values, safe to share and evaluate concurrently; a
 walk or a bound belongs to the one evaluation that made it.
@@ -342,6 +343,14 @@ def _decimal(n: int) -> str:
     return _zero_padded(n, n.bit_length() // 3 + 1).lstrip("0") or "0"
 
 
+def _integer(digits: str) -> int:
+    """int(digits) for a run of ASCII digits of any length, parsed in halves."""
+    if len(digits) <= _CHUNK_DIGITS:
+        return int(digits)
+    low = len(digits) // 2
+    return _integer(digits[:-low]) * 10**low + _integer(digits[-low:])
+
+
 def _origin(cf: ContinuedFraction) -> tuple:
     """The state of ``_walk`` at depth 0: (0, h_{-1}, h_0, k_{-1}, k_0, P_0) = (0, 1, c_0 a0, 0, c_0, c_0)."""
     c_0 = cf.leading.denominator
@@ -433,7 +442,9 @@ class _GapBound:
     |r t + s| <= max(|s|, |r + s|) <= 2^cap, which holds for every t when
     r = 0.  So e = 2 min(w, cap) + 1 - bl(|det M|): 0 for I, 1 for x < 0
     and 2 min(w, 0) - 1 for x > 0.  At depth 0, k' = 0 and w is no bound,
-    but P = k there makes w >= 3, above the cap of each matrix.
+    but P = k there makes w >= 3, above the cap of each matrix.  For x < 0,
+    m = k + h >= k makes w >= 3 at every state, so ``_room`` forms w only
+    for x > 0.
 
     ``best``.  At the depth cap, DepthCapError carries the enclosure of the
     capped state if ``_bounded`` accepts it, as it always does for I, else
@@ -518,16 +529,16 @@ class _GapBound:
         return stop
 
     def _bounded(self, state: tuple) -> bool:
-        """Whether a state past depth 0 has a bound: always when r = 0, else P < (k - h) k'."""
-        # u k' >= 2^(bl(u) + bl(k') - 2) for u, k' >= 1, so bl(P) < bl(u) + bl(k') - 1 passes.
+        """Whether a state past depth 0 has a bound: always when r = 0, else P < (k - h) k'.
+
+        No bit-length test comes first: ``_compare_products`` already decides
+        by leading bits, and the test runs once per exp stop test and per cap.
+        """
         if not self.matrix[1][0]:
             return True
         _, _, h, k_prev, k, p = state
         u = k - h
-        return u > 0 and (
-            p.bit_length() < u.bit_length() + k_prev.bit_length() - 1
-            or _compare_products((p,), (u, k_prev)) < 0
-        )
+        return u > 0 and _compare_products((p,), (u, k_prev)) < 0
 
     def _best(self) -> ApproximationResult | None:
         """DepthCapError's ``best``: the capped state's enclosure if it has a bound, else None."""
@@ -537,9 +548,10 @@ class _GapBound:
         """e such that every state past ``state`` that passes ``stop(tol)`` has gap <= tol 2^e."""
         # 2^w > (|m| k' + |r| P)/(k k'): the numerator has at most
         # max(bl(m) + bl(k'), bl(|r| P)) + 1 bits and k k' at least bl(k) + bl(k') - 1.
-        # For r = 0, |r t + s| <= 2^cap at every t, so w is not needed.
+        # For r = 0, |r t + s| <= 2^cap at every t, so w is not needed.  Nor is it for
+        # r > 0 (x < 0): m = h + k >= k on Gauss's fraction, so w >= 3 > cap = 1.
         e, (r, s) = self.cap, self.matrix[1]
-        if r:
+        if r < 0:
             _, _, h, k_prev, k, p = state
             w = max(abs(r * h + s * k).bit_length() + k_prev.bit_length(), (abs(r) * p).bit_length()) + 3
             e = min(w - k.bit_length() - k_prev.bit_length(), e)
@@ -623,6 +635,16 @@ class _GapBound:
         return self._enclosure(state)
 
 
+def _checked_tolerance(tol, max_depth: int) -> Fraction:
+    """Fraction(tol), once it is checked > 0 and then max_depth >= 1 (ValueError)."""
+    tol = Fraction(tol)
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+    if max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
+    return tol
+
+
 def _approximation(a: int, b: int, c: int, d: int, depth: int) -> ApproximationResult:
     """The enclosure a/b within c/(b d) at ``depth`` as an ApproximationResult."""
     return ApproximationResult(Fraction(a, b), Fraction(c, b * d), depth)
@@ -660,11 +682,7 @@ def evaluate(
     tolerance is still unmet after ``max_depth`` terms, DepthCapError is
     raised carrying the best result so far.
     """
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
+    tol = _checked_tolerance(tol, max_depth)
     bound = _GapBound(cf)
     try:
         return _approximation(*bound.refine(tol, max_depth))

@@ -30,6 +30,7 @@ from .core import (
     EPatternRule,
     _GapBound,
     _approximation,
+    _checked_tolerance,
 )
 from .errors import DomainError
 
@@ -141,9 +142,9 @@ def certified_enclosures(expr: str, x: int, y: int, tolerances, max_depth: int =
 
     Checks, in order: ``expr`` is "exp" or "tanh" (DomainError); for exp
     y >= 1 (DomainError), for tanh x, y >= 1 (DomainError); then, as each
-    tolerance is reached, Fraction(tol) > 0 and max_depth >= 1 (ValueError),
-    the order of ``evaluate``, before the exact enclosure (1, 1, 0, 1, 0) of
-    e^0 is yielded for it.
+    tolerance is reached, Fraction(tol) > 0 and max_depth >= 1 (ValueError,
+    ``core._checked_tolerance``, as in ``evaluate``), before the exact
+    enclosure (1, 1, 0, 1, 0) of e^0 is yielded for it.
     """
     if expr == "exp":
         if y < 1:
@@ -154,9 +155,5 @@ def certified_enclosures(expr: str, x: int, y: int, tolerances, max_depth: int =
     else:
         raise DomainError(f"expr must be 'exp' or 'tanh', not {expr!r}")
     for tol in tolerances:
-        tol = Fraction(tol)
-        if tol <= 0:
-            raise ValueError("tol must be > 0")
-        if max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+        tol = _checked_tolerance(tol, max_depth)
         yield bound.refine(tol, max_depth) if bound else (1, 1, 0, 1, 0)

@@ -538,6 +538,53 @@ def test_every_later_exp_state_with_a_bound_is_within_the_room(expr, x, y, n):
             assert eps < within if expr == "exp" else eps <= within
 
 
+@pytest.mark.parametrize("x, y", [(1, 1), (5, 2), (80, 1), (300, 7), (1000, 3)])
+def test_the_room_of_a_map_with_a_pole_at_x_below_zero_is_one(x, y):
+    # For x < 0, m = k + h >= k, so w >= 3 exceeds the cap and the room is 2
+    # + 1 - bl(2) = 1 at every state; for x > 0 it is 2 min(w, 0) - 1 <= -1,
+    # and tanh's is 0.  States 0-80, depth 0 and states with h >= k included.
+    below, above = expansions._exp_bound(-x, y), expansions._exp_bound(x, y)
+    tanh = core._GapBound(above.cf)
+    states = list(islice(core._walk(above.cf), 81))
+    assert any(h >= k for _, _, h, _, k, _ in states) == (x >= 2 * y)  # c_1 = x/(2y)
+    for state in states:
+        assert (below._room(state), tanh._room(state)) == (1, 0)
+        assert above._room(state) <= -1
+
+
+@st.composite
+def pole_test_states(draw):
+    """States (n, h', h, k', k, P) with bl(P) - bl(k - h) - bl(k') in -3..1, or P near (k - h) k'.
+
+    Those are the states at and around the edge of a bit-length test
+    bl(P) < bl(u) + bl(k') - 1 on P < u k', u = k - h; a few have h >= k.
+    """
+    def sized(low):
+        bits = draw(st.integers(low, 200))
+        return draw(st.integers(2 ** (bits - 1), 2**bits - 1)) if bits else 0
+
+    k_prev, h, u = sized(1), sized(0), sized(0) * draw(st.sampled_from([1, 1, 1, -1]))
+    if draw(st.booleans()):
+        p = u * k_prev + draw(st.integers(-2, 2))
+    else:
+        bits = u.bit_length() + k_prev.bit_length() + draw(st.integers(-3, 1))
+        p = draw(st.integers(2 ** (bits - 1), 2**bits - 1)) if bits > 1 else 1
+    return 1, 0, max(h, -u), k_prev, max(h, -u) + u, max(p, 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pole_test_states())
+@example((1, 0, 0, 1, 1, 1))  # P = u k'
+@example((1, 0, 5, 7, 5, 1))  # h = k
+@example((1, 0, 2**70, 2**80 + 1, 2**71 + 1, 2**150 - 1))  # bl(P) = bl(u) + bl(k') - 2
+def test_the_pole_test_is_the_exact_comparison(state):
+    _, _, h, k_prev, k, p = state
+    want = k - h > 0 and p < (k - h) * k_prev
+    for x in (1, -1):
+        assert expansions._exp_bound(x, 1)._bounded(state) == want
+    assert core._GapBound(tanh_integer_cf(1, 1))._bounded(state)
+
+
 @pytest.mark.parametrize("length", [40, 32])  # runs out inside a chunk, and right after one
 def test_a_list_that_runs_out_in_a_leap_ends_exactly_on_its_last_term(monkeypatch, length):
     # Far below the gap of every state, the leap bound rules all of them out,

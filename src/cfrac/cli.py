@@ -1,17 +1,20 @@
 """Command-line surface: convergent tables, certified digits, certificates.
 
 Subcommands: ``convergents``, ``digits``, ``certify``, ``verify``.  Data goes
-to stdout (or ``--out FILE``, rewritten in place and truncated to the new
-length when it is a regular file; the write is neither atomic nor synced,
-see ``_emit``); diagnostics go to stderr.  Exit codes: 0 on
+to stdout (or ``--out FILE``, opened before the work, rewritten in place and
+truncated to the new length when it is a regular file, and removed again if
+the request created it and then failed; the write is neither atomic nor
+synced, see ``_emit``); diagnostics go to stderr.  Exit codes: 0 on
 success; 1 on every refusal (a ``DomainError``: bad x/y, digit cap, depth
 over budget), on failed verification and on an ``--out`` that cannot be
 written (a directory, or a file in a missing directory); 2 on usage errors
 (unknown flags, missing arguments, malformed or unreadable certificate
 files).  ``run`` is the only code that turns a failure into an exit code and
-an ``error:`` line.  The parser is built once per process (``build_parser``)
-and shared by every ``run`` call; ``run`` looks up the handler
-``cmd_<command>`` by the parsed command name when the request arrives.
+an ``error:`` line.  The parsers are built once per process
+(``build_parser``) and shared by every ``run`` call; a command line that
+starts with a command name is parsed by that command's parser alone, and
+``run`` looks up the handler ``cmd_<command>`` by name when the request
+arrives.
 
 Decimal rendering of results lives here; the library underneath never
 leaves exact rational arithmetic.  Digit strings are truncated, not rounded:
@@ -61,7 +64,7 @@ from decimal import (
     localcontext,
 )
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import count, islice
 from math import gcd, lcm
 
@@ -242,25 +245,39 @@ def certificate_to_text(cert: IrrationalityCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, render_json: Callable[[], str], render_text: Callable[[], str]) -> int:
-    """Render only the format ``--format`` asks for; write it to ``--out`` or stdout.
+def _emit(args, work: Callable[[], object], render_json: Callable[..., str],
+          render_text: Callable[..., str]) -> int:
+    """Run ``work``; render its result as ``--format`` asks, to ``--out`` or stdout.
 
-    ``--out`` is rewritten in place: opened without truncation, written from
-    its start, then truncated at the end of the new text if it is a regular
-    file (a device such as /dev/null cannot be truncated).  A truncation to
-    zero would make ext4 start writeback of the file on close, the largest
-    single cost of a certificate request.  The write is neither
-    atomic nor synced: a crash can leave the old bytes, the new ones, or the
-    old ones cut to the new length, which ``verify`` refuses as malformed.
+    ``--out`` is opened before ``work`` runs, so a path that cannot be
+    written fails the request at once, with the message ``open(path, "w")``
+    would raise.  It is rewritten in place: opened without truncation,
+    written from its start, then truncated at the end of the new text if it
+    is a regular file (a device such as /dev/null cannot be truncated).  A
+    truncation to zero would make ext4 start writeback of the file on close,
+    the largest single cost of a certificate request.  If the request fails,
+    a file that this call created is removed, and an existing one keeps its
+    bytes, since the text is written last.  The write is neither atomic nor
+    synced: a crash can leave the old bytes, the new ones, or the old ones
+    cut to the new length, which ``verify`` refuses as malformed.
     """
-    text = render_json() if args.format == "json" else render_text()
-    if args.out:
-        with open(os.open(args.out, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
-            f.write(text)
+    render = render_json if args.format == "json" else render_text
+    if not args.out:
+        sys.stdout.write(render(work()))
+        return 0
+    try:
+        fd, created = os.open(args.out, os.O_WRONLY), False
+    except FileNotFoundError:
+        fd, created = os.open(args.out, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+    try:
+        with open(fd, "w", encoding="utf-8") as f:
+            f.write(render(work()))
             if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
                 f.truncate()
-    else:
-        sys.stdout.write(text)
+    except BaseException:
+        if created:
+            os.unlink(args.out)
+        raise
     return 0
 
 
@@ -429,30 +446,34 @@ def cmd_convergents(args) -> int:
         cf = e_simple_cf()
     if args.depth < 1:
         raise DomainError("depth must be >= 1")
-    rows = _convergent_rows(cf, args.depth)
-    return _emit(args, lambda: _table_json(args, rows), lambda: _render_rows(rows))
+    rows = partial(_convergent_rows, cf, args.depth)
+    return _emit(args, rows, partial(_table_json, args), _render_rows)
 
 
 def cmd_digits(args) -> int:
-    integer_part, fractional_part, depth = certified_digits(args.expr, args.x, args.y, args.digits)
-    payload = {
-        "expr": args.expr,
-        "x": str(args.x),
-        "y": str(args.y),
-        "value": f"{integer_part}.{fractional_part}",
-        "sign": "+",
-        "integerPart": integer_part,
-        "fractionalPart": fractional_part,
-        "guaranteedDigits": args.digits,
-        "cfDepth": depth,
-    }
+    def payload() -> dict:
+        integer_part, fractional_part, depth = certified_digits(
+            args.expr, args.x, args.y, args.digits
+        )
+        return {
+            "expr": args.expr,
+            "x": str(args.x),
+            "y": str(args.y),
+            "value": f"{integer_part}.{fractional_part}",
+            "sign": "+",
+            "integerPart": integer_part,
+            "fractionalPart": fractional_part,
+            "guaranteedDigits": args.digits,
+            "cfDepth": depth,
+        }
+
     text = "{value}\nguaranteed digits: {guaranteedDigits}\nexpansion depth: {cfDepth}\n"
-    return _emit(args, lambda: json.dumps(payload, indent=2) + "\n", lambda: text.format_map(payload))
+    return _emit(args, payload, lambda p: json.dumps(p, indent=2) + "\n", text.format_map)
 
 
 def cmd_certify(args) -> int:
-    cert = certify_irrational(args.x, args.y)
-    return _emit(args, lambda: certificate_to_json(cert), lambda: certificate_to_text(cert))
+    certify = partial(certify_irrational, args.x, args.y)
+    return _emit(args, certify, certificate_to_json, certificate_to_text)
 
 
 def cmd_verify(args) -> int:
@@ -473,7 +494,6 @@ def cmd_verify(args) -> int:
     return 1
 
 
-@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The ``cfrac`` argument parser, built on the first call and shared after it.
 
@@ -482,6 +502,16 @@ def build_parser() -> argparse.ArgumentParser:
     a fresh namespace, and help text is formatted when it is printed.  Each
     subcommand's namespace holds its own subparser as ``parser``, for
     ``parser.error``, and no handler: ``run`` looks that up by name.
+    """
+    return _parsers()[0]
+
+
+@lru_cache(maxsize=None)
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the map of its subparsers by command name.
+
+    The map is the ``choices`` of the action ``add_subparsers`` returns: the
+    same subparsers that the top-level parser hands a command line to.
     """
     parser = argparse.ArgumentParser(
         prog="cfrac",
@@ -521,22 +551,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(parser=p)
 
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, parsing a command's options once.
+
+    The top-level parser hands everything after the command name to that
+    command's parser, so a line that starts with a command name is parsed
+    by it alone (``parse_known_args``) and given its ``command``.  Anything
+    left over, or a line that starts otherwise, goes through the top-level
+    parser, so help, usage lines and errors are argparse's own.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv=None) -> int:
     """Dispatch a command line; returns the exit code instead of exiting.
 
-    Parses with the parser ``build_parser`` built once for the process, then
-    calls the module's ``cmd_<command>`` as it stands at call time.  The only
-    code that turns a failure into an exit code.  argparse's own exits keep
-    their code.  A refusal (any ``DomainError``), a depth cap, a division by
-    zero or an I/O error, such as an ``--out`` that cannot be written, prints
+    Parses with the parsers ``build_parser`` built once for the process,
+    each command's options once (``_parse``), then calls the module's
+    ``cmd_<command>`` as it stands at call time.  The only code that turns a
+    failure into an exit code.  argparse's own exits keep their code.  A
+    refusal (any ``DomainError``), a depth cap, a division by zero or an I/O
+    error, such as an ``--out`` that cannot be written, prints
     ``error: <message>`` and exits 1; any other ValueError, such as a
     malformed or unreadable certificate, exits 2.
     """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return globals()[f"cmd_{args.command}"](args)
     except SystemExit as exc:
         return int(exc.code or 0)

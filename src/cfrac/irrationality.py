@@ -19,8 +19,16 @@ constant from i = 2 on.  One inequality at the threshold then covers the
 whole infinite tail, and one more shows the tail index minimal.  Terms are
 built explicitly only on a head window and on a window around the tail
 index, to catch a fault in the implementation of the rule, so certifying
-and verifying cost the same for every x/y.  ``verify_certificate`` with an
-explicit depth rescans every term up to it, within the DEPTH_CAP budget.
+and verifying cost the same for every x/y.
+
+``verify_certificate`` is a checker, not a second run of the prover: it
+derives the fields a certificate must carry from its (x, y) in a few
+integer steps, without ``certify_irrational`` or a term rule, so a wrong
+field that the certifier emits is refused rather than reproduced, and a
+tampered certificate is refused before any term is built.  Only a
+certificate whose fields all hold has its windows built, through the same
+``_scan`` as the certifier's.  With an explicit depth it also rescans every
+term up to it, within the DEPTH_CAP budget.
 
 Only the sufficient direction is certified.  When the hypothesis fails
 (e.g. the simple continued fraction of e itself, where a_i = b_i = 1
@@ -119,6 +127,13 @@ def _scan(rule, indices, n: int) -> None:
         _check_tail(i, *_check_integer_positive(rule.term(i), i), n)
 
 
+def _windows(n: int) -> list[int]:
+    """The head window 1..SCAN_MARGIN and the threshold window around tail index n, in order."""
+    head = range(1, SCAN_MARGIN + 1)
+    threshold = range(max(1, n - SCAN_MARGIN), n + SCAN_MARGIN + 1)
+    return sorted({*head, *threshold})
+
+
 def legendre_tail_index(cf: ContinuedFraction) -> int:
     """Smallest n >= 1 such that a_i > b_i for every i > n.
 
@@ -154,9 +169,7 @@ def legendre_tail_index(cf: ContinuedFraction) -> int:
     for i in (n, n + 1):
         _check_tail(i, slope * i + intercept, b, n)
 
-    head = range(1, SCAN_MARGIN + 1)
-    threshold = range(max(1, n - SCAN_MARGIN), n + SCAN_MARGIN + 1)
-    _scan(rule, sorted({*head, *threshold}), n)
+    _scan(rule, _windows(n), n)
     return n
 
 
@@ -191,28 +204,55 @@ def _field_text(value: int | str) -> str:
     return _decimal(value) if isinstance(value, int) else repr(value)
 
 
+def _expected(x: int, y: int) -> IrrationalityCertificate:
+    """The one certificate that (x, y) admits, in a few integer steps.
+
+    This is the checker's own derivation: it calls neither
+    ``certify_irrational`` nor ``legendre_tail_index`` and builds no rule.
+    With g = gcd(|x|, y), rx = |x|/g and ry = y/g, term i >= 2 of the
+    integer expansion of tanh(rx/ry) has a_i = (2i - 1) ry and b_i = rx^2,
+    so the tail index is the smallest n >= 1 with (2n + 1) ry > rx^2, that
+    is (rx^2 + ry) // (2 ry) clamped to 1.
+    """
+    if y < 1:
+        raise DomainError("y must be a positive integer")
+    if x == 0:
+        return IrrationalityCertificate(x, y, 0, y, 0, 0, 0, VERDICT_NOT_APPLICABLE)
+    g = gcd(abs(x), y)
+    rx, ry = abs(x) // g, y // g
+    n = max(1, (rx * rx + ry) // (2 * ry))
+    return IrrationalityCertificate(
+        x, y, rx, ry, n, n + CHECKED_PREFIX_MARGIN, n + 1, VERDICT_IRRATIONAL
+    )
+
+
 def verify_certificate(
     cert: IrrationalityCertificate,
     depth: int | None = None,
 ) -> VerificationOutcome:
-    """Re-check a certificate from scratch.
+    """Re-check a certificate, fields first, without running the certifier.
 
-    The certificate is re-derived from its (x, y) alone and must match
-    field for field: emission is canonical, so any single-field tampering is
-    detectable.  The re-derivation proves the hypothesis again, in closed
-    form and on the explicit windows; a fault found there is reported with
-    its index.  An explicit ``depth`` (not below the certificate's checked
-    prefix depth, not above DEPTH_CAP) also regenerates the term stream
-    independently to ``depth`` and re-checks every term for positivity,
-    integrality, and a_i > b_i past the tail index.
+    Every field is compared, in declaration order, with the one certificate
+    its (x, y) admits (``_expected``, a few integer steps): emission is
+    canonical, so any single-field tampering is detectable, and a tampered
+    certificate is refused before any term is built.  A certificate whose
+    fields all hold then has Legendre's two inequalities checked at its tail
+    index n in integers, (2n + 1) ry > rx^2 and, when n >= 2,
+    (2n - 1) ry <= rx^2, and the head and threshold windows (``_windows``)
+    built through ``rule.term`` and checked as ``legendre_tail_index``
+    checks them; a fault found there is reported with its index.  An
+    explicit ``depth`` (not below the certificate's checked prefix depth,
+    not above DEPTH_CAP) also regenerates the term stream to ``depth`` and
+    re-checks every term for positivity, integrality, and a_i > b_i past
+    the tail index.
 
     Failures are reported in the outcome, never raised: any ``DomainError``
-    met while re-deriving, comparing or rescanning, such as a term that is
-    not integral or positive, a wrong-side term or a zero scale from the term
-    rule, becomes a failed outcome with its message, and with the index of
-    the term when the error carries one (``InvalidTermError``).  A ``depth``
-    out of range raises ValueError (too small) or DomainError (over budget)
-    before any work.
+    met while deriving, comparing or scanning, such as a y below 1, a term
+    that is not integral or positive, a wrong-side term or a zero scale from
+    the term rule, becomes a failed outcome with its message, and with the
+    index of the term when the error carries one (``InvalidTermError``).  A
+    ``depth`` out of range raises ValueError (too small) or DomainError
+    (over budget) before any work.
     """
     if depth is not None:
         if depth < cert.checked_prefix_depth:
@@ -221,7 +261,7 @@ def verify_certificate(
             raise DomainError(f"depth {depth} exceeds the rescan budget of {DEPTH_CAP} terms")
 
     try:
-        expected = certify_irrational(cert.x, cert.y)
+        expected = _expected(cert.x, cert.y)
         for field in fields(IrrationalityCertificate):
             got = getattr(cert, field.name)
             want = getattr(expected, field.name)
@@ -231,9 +271,14 @@ def verify_certificate(
                     False,
                     reason=f"{field.name} does not recompute: stored {got}, derived {want}",
                 )
-        if depth is not None and cert.verdict != VERDICT_NOT_APPLICABLE:
-            cf = tanh_integer_cf(cert.reduced_x, cert.reduced_y)
-            _scan(cf.rule, range(1, depth + 1), cert.tail_index)
+        if cert.verdict == VERDICT_IRRATIONAL:
+            n, rx, ry = cert.tail_index, cert.reduced_x, cert.reduced_y
+            for i in (n, n + 1):
+                _check_tail(i, (2 * i - 1) * ry, rx * rx, n)
+            rule = tanh_integer_cf(rx, ry).rule
+            _scan(rule, _windows(n), n)
+            if depth is not None:
+                _scan(rule, range(1, depth + 1), n)
     except InvalidTermError as exc:
         return VerificationOutcome(False, reason=str(exc), failed_index=exc.index)
     except DomainError as exc:

@@ -1,15 +1,17 @@
 import argparse
+import io
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import gcd, prod
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
@@ -703,6 +705,55 @@ def test_out_dev_null_exits_zero_and_prints_nothing(capsys, command):
     assert run_cli(capsys, *command, "--out", "/dev/null") == (0, "", "")
 
 
+def test_an_unwritable_out_fails_before_the_work(capsys, monkeypatch, tmp_path):
+    def no_rows(cf, depth):
+        raise AssertionError("rows built for an --out that cannot be written")
+
+    monkeypatch.setattr(cli, "_convergent_rows", no_rows)
+    path = tmp_path / "missing" / "table.txt"
+    with pytest.raises(OSError) as unwritable:
+        open(path, "w")
+    argv = ("convergents", "--expansion", "e", "--depth", "2000", "--out", str(path))
+    assert run_cli(capsys, *argv) == (1, "", f"error: {unwritable.value}\n")
+
+
+#: Requests refused with exit 1, by the library before or after ``--out`` is opened.
+REFUSED_OUT_COMMANDS = (
+    ("digits", "--expr", "exp", "--x", "1", "--y", "2", "--digits", "0"),
+    ("digits", "--expr", "tanh", "--x", "0", "--y", "2", "--digits", "5"),
+    ("convergents", "--expansion", "tanh", "--x", "1", "--y", "0"),
+    ("certify", "--x", "1", "--y", "0"),
+)
+
+
+@pytest.mark.parametrize("command", REFUSED_OUT_COMMANDS)
+@pytest.mark.parametrize("old", (None, b"old bytes\n"))
+def test_a_refused_request_leaves_its_out_path_as_it_found_it(capsys, tmp_path, command, old):
+    path = tmp_path / "out.txt"
+    if old is not None:
+        path.write_bytes(old)
+        path.chmod(0o640)
+    refused = run_cli(capsys, *command, "--out", str(path))
+    assert refused[:2] == (1, "") and refused[2].startswith("error: ")
+    assert refused == run_cli(capsys, *command)
+    if old is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == old and stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_a_request_that_dies_in_the_work_removes_the_out_file_it_created(capsys, monkeypatch,
+                                                                        tmp_path):
+    def interrupted(cf, depth):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_convergent_rows", interrupted)
+    path = tmp_path / "table.txt"
+    with pytest.raises(KeyboardInterrupt):
+        cli.run(["convergents", "--expansion", "e", "--depth", "3", "--out", str(path)])
+    assert not path.exists()
+
+
 # ------------------------------------------------------------ one process
 
 
@@ -757,6 +808,82 @@ def test_the_parser_is_built_once(capsys, monkeypatch):
     codes.append(run_cli(capsys, *digits, "0")[0])
     assert codes == [0] * 8 + [2, 1]
     assert len(built) <= 5  # the parser and its four subparsers
+
+
+#: Tokens of a command line for the dispatch property: the command names and
+#: -h, full and abbreviated option names, an option with its value attached,
+#: "--" and an unknown flag, and values: ints, negative ints, non-ints and
+#: every ``choices`` value.
+COMMAND_NAMES = ("convergents", "digits", "certify", "verify", "-h")
+OPTION_NAMES = ("--expansion", "--x", "--y", "--depth", "--format", "--out", "--expr", "--digits",
+                "--help", "--dig", "--dep", "--exp", "--h", "--x=5", "--y=-3", "--", "--bogus")
+INTS = st.integers(-(10**6), 10**6).map(str)
+VALUES = st.one_of(
+    INTS, st.sampled_from(("e", "tanh", "exp", "text", "json", "1.5", "x", "", "cert.json"))
+)
+TOKENS = st.one_of(st.sampled_from(COMMAND_NAMES), st.sampled_from(OPTION_NAMES), VALUES)
+
+#: Each command's options, and the values of those that take no int.
+COMMAND_OPTIONS = {
+    "convergents": ("--expansion", "--x", "--y", "--depth", "--format", "--out"),
+    "digits": ("--expr", "--x", "--y", "--digits", "--format", "--out"),
+    "certify": ("--x", "--y", "--format", "--out"),
+    "verify": ("--depth",),
+}
+OPTION_VALUES = {"--expansion": ("e", "tanh"), "--expr": ("exp", "tanh"),
+                 "--format": ("text", "json"), "--out": ("cert.json",)}
+
+
+@st.composite
+def command_lines(draw):
+    """A command with most of its options, each mostly with a value it accepts,
+    and, in half the lines, one or two tokens of noise anywhere."""
+    name = draw(st.sampled_from(tuple(COMMAND_OPTIONS)))
+    argv = [name, "cert.json"] if name == "verify" else [name]
+    for option in draw(st.permutations(COMMAND_OPTIONS[name])):
+        if draw(st.integers(0, 9)):
+            accepted = OPTION_VALUES.get(option)
+            value = st.sampled_from(accepted) if accepted else INTS
+            argv += [option, draw(value if draw(st.integers(0, 9)) else VALUES)]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = draw(st.lists(TOKENS, min_size=1, max_size=2))
+    return argv
+
+
+ARGVS = st.one_of(st.lists(TOKENS, max_size=6), command_lines())
+
+
+def _captured(call):
+    """What ``call()`` returned or its SystemExit code, and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = call()
+        except SystemExit as exc:
+            result = int(exc.code or 0)
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=ARGVS)
+def test_run_parses_a_command_line_as_the_top_level_parser_does(argv):
+    seen = []
+
+    def handler(args):
+        seen.append(args)
+        return 0
+
+    handlers = {f"cmd_{name}": handler for name in COMMAND_NAMES if name != "-h"}
+    with mock.patch.multiple(cli, **handlers):
+        code, out, err = _captured(lambda: cli.run(argv))
+    expected = _captured(lambda: cli.build_parser().parse_args(argv))
+    if isinstance(expected[0], argparse.Namespace):
+        assert (code, out, err) == (0, *expected[1:])
+        assert seen == [expected[0]]
+    else:
+        assert (code, out, err) == expected
+        assert seen == []
 
 
 # ----------------------------------------------------------------- exit codes

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfrac import cli, irrationality
 from cfrac.cli import certificate_to_json, run
 from cfrac.core import DEPTH_CAP, ClosedFormRule, Term
 from cfrac.errors import DomainError, InvalidTermError, NonPositiveTermError, ZeroScaleError
@@ -232,3 +233,74 @@ def test_certify_and_verify_do_a_fixed_amount_of_work(monkeypatch):
         assert work()
         assert len(gcds) <= 60
         assert sorted(indices) == windows
+
+
+# A certifier that emits a wrong field must be refused by the checker: the
+# checker derives every field on its own, so it cannot reproduce the fault.
+@pytest.mark.parametrize("field", ("threshold_index", "reduced_y"))
+def test_a_certifier_that_emits_a_wrong_field_is_refused(monkeypatch, capsys, tmp_path, field):
+    honest = certify_irrational
+
+    def mutant(x, y):
+        cert = honest(x, y)
+        return replace(cert, **{field: getattr(cert, field) + 1})
+
+    monkeypatch.setattr(irrationality, "certify_irrational", mutant)
+    monkeypatch.setattr(cli, "certify_irrational", mutant)
+    cert = irrationality.certify_irrational(X, Y)
+    derived = getattr(honest(X, Y), field)
+    outcome = verify_certificate(cert)
+    assert outcome == VerificationOutcome(
+        False, reason=f"{field} does not recompute: stored {derived + 1}, derived {derived}"
+    )
+    path = tmp_path / "cert.json"
+    assert run(["certify", "--x", str(X), "--y", str(Y), "--format", "json",
+                "--out", str(path)]) == 0
+    assert run(["verify", str(path)]) == 1
+    assert capsys.readouterr().err == f"verification failed: {outcome.reason}\n"
+
+
+@pytest.mark.parametrize("field", _INT_FIELDS + ("verdict",))
+@pytest.mark.parametrize("x,y", ((X, Y), (0, 5), (-14, 3)))
+def test_a_tampered_certificate_is_refused_before_any_term_is_built(monkeypatch, x, y, field):
+    cert = certify_irrational(x, y)
+    if field == "verdict":
+        tampered = replace(cert, verdict="NotApplicable" if x else "CertifiedIrrational")
+    else:
+        tampered = replace(cert, **{field: getattr(cert, field) + 1})
+    built = []
+    honest = ClosedFormRule.term
+
+    def term(self, i):
+        built.append(i)
+        return honest(self, i)
+
+    monkeypatch.setattr(ClosedFormRule, "term", term)
+    assert not verify_certificate(tampered)
+    assert not verify_certificate(tampered, max(tampered.checked_prefix_depth, 1) + 10)
+    assert built == []
+
+
+# The integer inequalities check the checker's own derivation: a derived
+# tail index one too high, met by a certificate that carries the same
+# fault, is refused there, before any term is built.
+def test_a_tail_index_that_is_not_minimal_is_refused_in_integers(monkeypatch):
+    honest = irrationality._expected
+
+    def shifted(x, y):
+        cert = honest(x, y)
+        return replace(cert, tail_index=cert.tail_index + 1,
+                       checked_prefix_depth=cert.checked_prefix_depth + 1,
+                       threshold_index=cert.threshold_index + 1)
+
+    def no_term(self, i):
+        raise AssertionError(f"term {i} built")
+
+    monkeypatch.setattr(irrationality, "_expected", shifted)
+    monkeypatch.setattr(ClosedFormRule, "term", no_term)
+    n = N + 1
+    outcome = verify_certificate(shifted(X, Y))
+    assert outcome == VerificationOutcome(
+        False, reason=f"tail index {n} is not minimal: a_{n} = {(2 * n - 1) * Y} > b_{n} = {X * X}",
+        failed_index=n,
+    )

@@ -8,8 +8,9 @@ side that goes first flips from one pair of a class to the next, so a drift
 in host speed falls on both sides alike.  One untimed call per side and
 request comes first.  Stdout and stderr go to memory; a request whose exit
 code or output differs between the sides is flagged with ``!``.  A
-certificates request times its ``certify`` command alone, writing the
-certificate to stdout.
+certificates request is timed as ``bench.harness`` runs it: ``certify`` with
+``--out`` a file, then ``verify`` of that file, after the tampering of a
+tampered class, which is not timed.
 
 Per class the tool prints the number of pairs, the median wall time of each
 side, their ratio, the quartiles of the paired difference B - A, and the
@@ -31,8 +32,10 @@ import argparse
 import importlib
 import importlib.util
 import io
+import json
 import statistics
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from time import perf_counter
@@ -40,7 +43,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT)]
 
-from bench.workloads import WORKLOADS, build_cycle  # noqa: E402
+from bench.workloads import WORKLOADS, build_cycle, tamper_certificate  # noqa: E402
 
 
 def load_cli(tree: Path, name: str):
@@ -65,6 +68,25 @@ def timed(run, argv) -> tuple[float, tuple]:
     return seconds, (code, out.getvalue(), err.getvalue())
 
 
+def timed_request(run, request, path: Path) -> tuple[float, tuple]:
+    """Seconds ``request`` took through ``run``, and what it returned, printed and wrote.
+
+    A certificates request writes its certificate to ``path``, and its time
+    is that of ``certify`` and ``verify`` together.
+    """
+    if request.workload != "certificates":
+        return timed(run, request.argv)
+    certify, made = timed(run, (*request.argv, "--out", str(path)))
+    if made[0] != 0:
+        return certify, made
+    text = path.read_text(encoding="utf-8")
+    if request.tamper:
+        altered = tamper_certificate(json.loads(text), request.tamper)
+        path.write_text(json.dumps(altered, indent=2) + "\n", encoding="utf-8")
+    verify, checked = timed(run, ("verify", str(path)))
+    return certify + verify, (made, text, checked)
+
+
 def quartiles(values: list[float]) -> list[float]:
     if len(values) == 1:
         return values * 3
@@ -77,6 +99,29 @@ def row(label: str, pairs: list[tuple[float, float]], flag: str = "") -> str:
     won = sum(tb < ta for ta, tb in pairs) / len(pairs)
     return (f"{label + flag:<26} {len(pairs):>5} {a:>9.3f} {b:>9.3f} {b / a:>6.3f}"
             f" {q1:>8.3f} {q2:>8.3f} {q3:>8.3f} {won:>6.2f}")
+
+
+def compare(runs, cycle, rounds: int, path: Path):
+    """The classes whose outputs differ, each class's timed pairs, and each round's totals."""
+    differs = set()
+    for request in cycle:
+        outputs = [timed_request(run, request, path)[1] for run in runs]
+        if outputs[0] != outputs[1]:
+            differs.add(request.cls)
+    pairs: dict[str, list[tuple[float, float]]] = {r.cls: [] for r in cycle}
+    totals = []
+    for _ in range(rounds):
+        total = [0.0, 0.0]
+        for request in cycle:
+            pair = pairs[request.cls]
+            order = (0, 1) if len(pair) % 2 == 0 else (1, 0)
+            seconds = [0.0, 0.0]
+            for side in order:
+                seconds[side] = timed_request(runs[side], request, path)[0]
+            pair.append((seconds[0], seconds[1]))
+            total = [t + s for t, s in zip(total, seconds)]
+        totals.append(tuple(total))
+    return differs, pairs, totals
 
 
 def main(argv=None) -> None:
@@ -94,24 +139,8 @@ def main(argv=None) -> None:
     if not cycle:
         parser.error("no request of the cycle is in the classes asked for")
 
-    differs = set()
-    for request in cycle:
-        outputs = [timed(run, request.argv)[1] for run in runs]
-        if outputs[0] != outputs[1]:
-            differs.add(request.cls)
-    pairs: dict[str, list[tuple[float, float]]] = {r.cls: [] for r in cycle}
-    totals = []
-    for _ in range(args.rounds):
-        total = [0.0, 0.0]
-        for request in cycle:
-            pair = pairs[request.cls]
-            order = (0, 1) if len(pair) % 2 == 0 else (1, 0)
-            seconds = [0.0, 0.0]
-            for side in order:
-                seconds[side] = timed(runs[side], request.argv)[0]
-            pair.append((seconds[0], seconds[1]))
-            total = [t + s for t, s in zip(total, seconds)]
-        totals.append(tuple(total))
+    with tempfile.TemporaryDirectory() as workdir:
+        differs, pairs, totals = compare(runs, cycle, args.rounds, Path(workdir) / "certificate.json")
 
     print(f"{'class':<26} {'pairs':>5} {'A ms':>9} {'B ms':>9} {'B/A':>6}"
           f" {'B-A q1':>8} {'median':>8} {'q3':>8} {'B won':>6}")

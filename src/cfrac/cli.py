@@ -28,19 +28,22 @@ str() of an int is quadratic in its length, and CPython refuses it past
 ``sys.get_int_max_str_digits()`` digits.  Digits and certificate integers are
 rendered (``core._decimal``) and parsed (``core._integer``) in chunks below
 the smallest limit the interpreter accepts, so they print at any size.
-Convergent tables are walked in base-10 integers (``decimal.Decimal`` under an exact context), which
-print in linear time; a row that would print an integer past the
-interpreter's limit fails as str() of that integer would.  Each row is also
-built in time linear in its digits (``_convergent_rows``, a ``zip`` of the
-states of ``core._walk`` with the terms that made them).  The gap
-denominator k_n k_{n-1} is not a full-size product: it comes from a
-recurrence of at most four products per row, each by a term-sized
-multiplier other than 1.  A tanh row with |D_n| > 1 finds the common
-factor of its gap from the parts of k_n and k_{n-1} made of primes of x, so
-it divides full-size integers only by numbers of that factor's size.  Once
-two rows print the same 20-digit preview, every later row prints it too, so
-no later row divides for it.  The rows are written by one format per table,
-text or JSON.
+Convergent tables are made in two passes.  The exact pass
+(``_convergent_rows``, a ``zip`` of the states of ``core._walk`` with the
+terms that made them) builds every row in time linear in its digits, in
+base-10 integers (``decimal.Decimal`` under an exact context), and makes no
+string of them.  It measures each row by its digit counts as it goes: a row
+with an integer past the interpreter's limit fails as str() of that integer
+would, before any cell of the table is formatted.  The formatting pass
+then writes the table in one format, text or JSON: text widths come from
+the digit counts, and each row's cells (``_cells``) are made as its line is
+written, in time linear in their digits.  The gap denominator k_n k_{n-1}
+is not a full-size product: it comes from a recurrence of at most four
+products per row, each by a term-sized multiplier other than 1.  A tanh
+row with |D_n| > 1 finds the common factor of its gap from the parts of
+k_n and k_{n-1} made of primes of x, so it divides full-size integers only
+by numbers of that factor's size.  Once two rows print the same 20-digit
+preview, every later row prints it too, so no later row divides for it.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import count, islice
+from itertools import chain, count, islice
 from math import gcd, lcm
 
 from . import __version__
@@ -281,20 +284,6 @@ def _emit(args, work: Callable[[], object], render_json: Callable[..., str],
     return 0
 
 
-def _row_text(n: Decimal, limit: int) -> str:
-    """An integer-valued Decimal in decimal digits, under the int-str limit ``limit``.
-
-    str() of a Decimal takes linear time and never checks the limit, so a
-    number past it goes through str(int(n)) to raise the interpreter's own
-    ValueError, as a table of ints would.  ``limit`` is
-    ``sys.get_int_max_str_digits()``, read once per table.
-    """
-    text = str(n)
-    if limit and len(text) > limit:
-        str(int(n))
-    return text
-
-
 def _smooth_part(n, beta: int, e: int) -> tuple[int, int]:
     """The beta-smooth part of n > 0, and the exponent E that found it, trying E = e first.
 
@@ -313,12 +302,21 @@ def _smooth_part(n, beta: int, e: int) -> tuple[int, int]:
         e *= 2
 
 
-def _convergent_rows(cf, depth: int) -> list[dict]:
+def _convergent_rows(cf, depth: int) -> list[tuple]:
     """Rows n = 1..depth: h_n/k_n and the gap P_n/(k_n k_{n-1}) in lowest terms.
 
-    ``cf`` has positive terms, as e and tanh(x/y) with x, y >= 1 do.  A row
-    pays only for the digits it prints: every full-size operation is a sum,
-    a product, quotient or remainder by a short number, or str().
+    Each row is ``(n, h, k, preview, P, Q)``: h, k and the gap P/Q are
+    integer Decimals, and the preview is the string ``decimal_preview``
+    prints.  ``cf`` has positive terms, as e and tanh(x/y) with x, y >= 1
+    do.  A row pays only for the digits it prints: every full-size operation
+    is a sum, or a product, quotient or remainder by a short number.  No
+    string of a table integer is made here (``_cells`` makes them).
+
+    The int-str limit.  A row whose largest integer has more digits
+    (``adjusted() + 1``) than ``sys.get_int_max_str_digits()`` ends the
+    table with the ValueError str() of that integer raises, at the row
+    where a table of ints would have failed, so a refused table costs the
+    rows up to that one and formats none.
 
     ``core._walk`` runs in Decimal integers in an exact context, so every
     row prints in time linear in its digits, and the gap denominator
@@ -381,22 +379,13 @@ def _convergent_rows(cf, depth: int) -> list[dict]:
                     p, den = p // g, den // g
                     g = gcd(g, int(h % g), int(k % g))
                     h, k = h // g, k // g
-            gap = _row_text(p, limit)
-            if den != 1:
-                gap = f"{gap}/{_row_text(den, limit)}"
+            if limit and max(h.adjusted(), k.adjusted(), p.adjusted(), den.adjusted()) >= limit:
+                str(int(max(h, k, p, den, key=Decimal.adjusted)))  # the interpreter's ValueError
             value = settled or decimal_preview(h, k)
             if value == last:
                 settled = value
             last = value
-            rows.append(
-                {
-                    "index": n,
-                    "h": _row_text(h, limit),
-                    "k": _row_text(k, limit),
-                    "value": value,
-                    "gap": gap,
-                }
-            )
+            rows.append((n, h, k, value, p, den))
     return rows
 
 
@@ -404,12 +393,34 @@ def _convergent_rows(cf, depth: int) -> list[dict]:
 _TABLE_COLUMNS = {"index": "n", "h": "h", "k": "k", "value": "value", "gap": "gap"}
 
 
-def _render_rows(rows: list[dict]) -> str:
-    """The text table: columns two spaces apart, each padded to its widest cell but the last."""
+def _cells(row: tuple) -> dict:
+    """A row of ``_convergent_rows`` as the table prints it, keyed as ``_TABLE_COLUMNS``.
+
+    The gap P/Q prints as P alone when Q is 1.  Each cell is made when its
+    line is written, so no string of a table integer outlives its line.
+    """
+    n, h, k, value, p, q = row
+    return {"index": n, "h": str(h), "k": str(k), "value": value,
+            "gap": str(p) if q == 1 else f"{p!s}/{q!s}"}
+
+
+def _render_rows(rows: list[tuple]) -> str:
+    """The text table: columns two spaces apart, each padded to its widest cell but the last.
+
+    The widths come from the header and from every row, not only the last
+    (a reduced row can be shorter than an earlier one): the index and the
+    preview by their strings, h and k by their digit counts, which print
+    as many characters, since every row of a CLI table is positive.  So the
+    widths are known before the first cell is made, and each line is
+    written from its row's cells as they are made.
+    """
+    sizes = ((len(str(n)), h.adjusted() + 1, k.adjusted() + 1, len(value))
+             for n, h, k, value, _, _ in rows)
+    # one width per padded column: zip stops at the four sizes of a row
+    widths = map(max, zip(map(len, _TABLE_COLUMNS.values()), *sizes))
     *padded, last = _TABLE_COLUMNS
-    widths = (max(len(_TABLE_COLUMNS[c]), *(len(str(row[c])) for row in rows)) for c in padded)
     line = "".join(f"%({c})-{w}s  " for c, w in zip(padded, widths)) + f"%({last})s\n"
-    return "".join(line % row for row in (_TABLE_COLUMNS, *rows))
+    return "".join(line % cells for cells in chain([_TABLE_COLUMNS], map(_cells, rows)))
 
 
 #: One row of a JSON table, as ``json.dumps(payload, indent=2)`` writes it.
@@ -425,10 +436,10 @@ _JSON_ROW = """\
     }"""
 
 
-def _table_json(args, rows: list[dict]) -> str:
+def _table_json(args, rows: list[tuple]) -> str:
     """The table as ``json.dumps(payload, indent=2) + "\\n"`` writes it, in its key order."""
     tail = f',\n  "x": "{args.x}",\n  "y": "{args.y}"' if args.expansion == "tanh" else ""
-    body = ",\n".join(_JSON_ROW % row for row in rows)
+    body = ",\n".join(_JSON_ROW % _cells(row) for row in rows)
     return (
         f'{{\n  "expansion": "{args.expansion}",\n  "depth": {args.depth},\n'
         f'  "convergents": [\n{body}\n  ]{tail}\n}}\n'

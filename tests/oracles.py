@@ -338,6 +338,25 @@ def reference_convergent_rows(cf, depth):
     return rows
 
 
+#: The columns of a convergent table in order, keyed as the rows are, with their headers.
+TABLE_HEADERS = {"index": "n", "h": "h", "k": "k", "value": "value", "gap": "gap"}
+
+
+def reference_table_text(rows):
+    """The text table of ``reference_convergent_rows`` rows, header line first.
+
+    Each column but the last is padded to its widest cell, header included,
+    and columns are two spaces apart.
+    """
+    lines = [list(TABLE_HEADERS.values())]
+    lines += [[str(row[key]) for key in TABLE_HEADERS] for row in rows]
+    widths = [max(len(line[c]) for line in lines) for c in range(len(TABLE_HEADERS) - 1)]
+    return "".join(
+        "  ".join([*(cell.ljust(w) for cell, w in zip(line, widths)), line[-1]]) + "\n"
+        for line in lines
+    )
+
+
 def reference_closed_form_term(b_first, b_rest, a_slope, a_intercept, i: int):
     """Term i of the closed-form rule with these coefficients, as (a_i, b_i).
 

@@ -15,7 +15,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cfrac import cli
@@ -42,6 +42,7 @@ from tests.oracles import (
     enclosure_digits,
     exp_enclosure,
     reference_convergent_rows,
+    reference_table_text,
     tanh_enclosure,
 )
 
@@ -134,10 +135,40 @@ def test_convergent_tables_keep_the_int_str_limit(capsys):
         assert failing == (2, "", f"error: {refusal.value}\n")
 
 
+#: CPython's default int-str limit.
+DEFAULT_INT_STR_LIMIT = 4300
+
+
+@pytest.mark.parametrize("expansion, depth, fmt", (
+    (("e",), 2200, "text"),
+    (("tanh", "--x", "1", "--y", "2"), 1000, "json"),
+))
+def test_a_table_refused_at_the_int_str_limit_formats_no_cell(capsys, monkeypatch, expansion,
+                                                              depth, fmt):
+    # The limit is checked on each row's digit counts as the row is built,
+    # so a refused table makes no string of a table integer.
+    formatted = []
+
+    def counting(row, cells=cli._cells):
+        formatted.append(row[0])
+        return cells(row)
+
+    monkeypatch.setattr(cli, "_cells", counting)
+    with int_str_limit(DEFAULT_INT_STR_LIMIT):
+        with pytest.raises(ValueError) as refusal:
+            str(10**DEFAULT_INT_STR_LIMIT)
+        argv = ("convergents", "--expansion", *expansion, "--format", fmt, "--depth")
+        assert run_cli(capsys, *argv, str(depth)) == (2, "", f"error: {refusal.value}\n")
+        assert formatted == []
+        assert run_cli(capsys, *argv, "5")[0] == 0
+    assert formatted == [1, 2, 3, 4, 5]
+
+
 def test_convergent_rows_past_the_default_int_str_limit_match_reference():
     cf = e_simple_cf()
     with int_str_limit(0):
-        assert cli._convergent_rows(cf, 2200) == reference_convergent_rows(cf, 2200)
+        rows = list(map(cli._cells, cli._convergent_rows(cf, 2200)))
+        assert rows == reference_convergent_rows(cf, 2200)
 
 
 #: Expansions whose table rows exercise the gap recurrence: a leading term
@@ -174,7 +205,8 @@ def test_convergent_rows_match_reference(name, depth):
     # tanh(2^40/1) prints gaps of over 7000 digits at depth 300, past the default limit
     cf = ROW_EXPANSIONS[name]
     with int_str_limit(0):
-        assert cli._convergent_rows(cf, depth) == reference_convergent_rows(cf, depth)
+        rows = list(map(cli._cells, cli._convergent_rows(cf, depth)))
+        assert rows == reference_convergent_rows(cf, depth)
 
 
 small_positive_rationals = st.builds(F, st.integers(1, 40), st.integers(1, 40))
@@ -242,7 +274,7 @@ def test_settled_previews_match_reference(leading, terms):
     cf = ContinuedFraction(leading, ExplicitListRule(tuple(terms)))
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = _preview_calls(monkeypatch)
-        rows = cli._convergent_rows(cf, len(terms))
+        rows = list(map(cli._cells, cli._convergent_rows(cf, len(terms))))
     assert rows == reference_convergent_rows(cf, len(terms))
     values = [row["value"] for row in rows]
     settled = next((n for n in range(2, len(values)) if values[n - 1] == values[n - 2]), len(values))
@@ -256,7 +288,7 @@ def test_settled_previews_match_reference(leading, terms):
 )
 def test_convergent_rows_match_reference_on_short_rational_lists(leading, terms):
     cf = ContinuedFraction(leading, ExplicitListRule(tuple(terms)))
-    rows = cli._convergent_rows(cf, len(terms))
+    rows = list(map(cli._cells, cli._convergent_rows(cf, len(terms))))
     assert rows == reference_convergent_rows(cf, len(terms))
     assert all(ROW_VALUE.fullmatch(row[key]) for row in rows for key in ("h", "k", "value", "gap"))
 
@@ -279,6 +311,32 @@ def test_convergent_json_is_what_json_dumps_writes(capsys, expansion, depth):
     assert len(payload["convergents"]) == depth
     for row in payload["convergents"]:
         assert all(ROW_VALUE.fullmatch(row[key]) for key in ("h", "k", "value", "gap"))
+
+
+def _text_table(*argv):
+    """The stdout of ``cfrac convergents`` with ``argv``, which must exit 0 with no stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.run(["convergents", *argv])
+    assert (code, err.getvalue()) == (0, "")
+    return out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 120))
+@example(3, 46, 23)  # h and k are widest in row 22, not in the last row
+@example(12, 2, 50)  # not reduced to tanh(6/1); h and k are widest in row 49
+def test_text_tables_are_padded_to_their_widest_cells(x, y, depth):
+    cf = tanh_integer_cf(x, y)
+    argv = ("--expansion", "tanh", "--x", str(x), "--y", str(y), "--depth", str(depth))
+    assert _text_table(*argv) == reference_table_text(reference_convergent_rows(cf, depth))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 400))
+def test_e_text_tables_are_padded_to_their_widest_cells(depth):
+    table = _text_table("--expansion", "e", "--depth", str(depth))
+    assert table == reference_table_text(reference_convergent_rows(e_simple_cf(), depth))
 
 
 def test_convergents_depth_zero_is_domain_error(capsys):
@@ -736,6 +794,28 @@ def test_a_refused_request_leaves_its_out_path_as_it_found_it(capsys, tmp_path, 
     refused = run_cli(capsys, *command, "--out", str(path))
     assert refused[:2] == (1, "") and refused[2].startswith("error: ")
     assert refused == run_cli(capsys, *command)
+    if old is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == old and stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+@pytest.mark.parametrize("old", (None, b"old bytes\n"))
+def test_a_table_refused_at_the_int_str_limit_leaves_its_out_path_as_it_found_it(
+    capsys, tmp_path, fmt, old
+):
+    # e's row 414 is the first with more than 640 digits
+    path = tmp_path / "table.txt"
+    if old is not None:
+        path.write_bytes(old)
+        path.chmod(0o640)
+    argv = ("convergents", "--expansion", "e", "--depth", "500", "--format", fmt)
+    with int_str_limit(640):
+        with pytest.raises(ValueError) as refusal:
+            str(10**640)
+        refused = run_cli(capsys, *argv, "--out", str(path))
+        assert refused == run_cli(capsys, *argv) == (2, "", f"error: {refusal.value}\n")
     if old is None:
         assert not path.exists()
     else:
